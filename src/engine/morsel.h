@@ -71,8 +71,8 @@ class MorselContext {
 };
 
 /// The context installed for the calling thread, or null. Operators
-/// running outside any scope (sequential Controller loop, direct library
-/// use, morsel helper tasks) see null and stay single-threaded.
+/// running outside any scope (single-morsel Controller nodes, direct
+/// library use, morsel helper tasks) see null and stay single-threaded.
 MorselContext* CurrentMorselContext();
 
 /// RAII installer: the runtime wraps a node's execution in one scope so

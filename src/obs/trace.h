@@ -70,8 +70,8 @@ class TraceRecorder {
 
   /// Complete() with an explicit track instead of the calling thread's.
   /// For work whose logical timeline is not the executing thread: the
-  /// Materializer's pooled drain task runs on whichever lane picks it
-  /// up but its writes belong on the "materializer-<k>" track.
+  /// Materializer's drain task runs on whichever lane picks it up but
+  /// its writes belong on the "materializer-<k>" track.
   void CompleteOnTrack(std::string track, const char* category,
                        std::string name, double start_seconds,
                        double dur_seconds, std::string args_json = {});

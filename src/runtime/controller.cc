@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -59,28 +60,17 @@ void BackoffSleep(int attempt, double base_ms, const CancelToken* cancel) {
 }
 }  // namespace
 
-Materializer::Materializer(storage::ThrottledDisk* disk,
-                           obs::TraceRecorder* trace, LanePool* pool)
+Materializer::Materializer(storage::ThrottledDisk* disk, LanePool& pool,
+                           obs::TraceRecorder* trace)
     : disk_(disk),
-      trace_(trace),
       pool_(pool),
-      track_(NextMaterializerTrack()) {
-  if (pool_ == nullptr) {
-    worker_ = std::thread([this] { Loop(); });
-  }
-}
+      trace_(trace),
+      track_(NextMaterializerTrack()) {}
 
 Materializer::~Materializer() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    stopping_ = true;
-    // Pooled mode: the in-flight drain task references `this` and
-    // processes every queued write before retiring — wait it out (the
-    // owned-thread mode equally drains its queue before Loop returns).
-    drained_cv_.wait(lock, [this] { return !pool_task_active_; });
-  }
-  cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
+  // The in-flight drain task references `this` and processes every
+  // queued write before retiring — wait it out.
+  Drain();
 }
 
 std::shared_future<void> Materializer::Enqueue(std::string name,
@@ -93,22 +83,19 @@ std::shared_future<void> Materializer::Enqueue(std::string name,
   {
     std::unique_lock<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
-    if (pool_ != nullptr && !pool_task_active_) {
+    if (!drain_active_) {
       // One drain task at a time: the single-writer FIFO channel.
-      pool_task_active_ = true;
+      drain_active_ = true;
       submit_drain = true;
     }
   }
-  if (submit_drain) {
-    pool_->Submit([this] { DrainOnPool(); });
-  }
-  cv_.notify_one();
+  if (submit_drain) pool_.Submit([this] { DrainOnPool(); });
   return future;
 }
 
 void Materializer::Drain() {
   std::unique_lock<std::mutex> lock(mutex_);
-  drained_cv_.wait(lock, [this] { return queue_.empty() && !busy_; });
+  drained_cv_.wait(lock, [this] { return !drain_active_; });
 }
 
 void Materializer::SetRetryPolicy(int retry_limit, double retry_backoff_ms,
@@ -131,8 +118,8 @@ void Materializer::WriteOne(Task task) {
       const double write_start = MonotonicSeconds();
       disk_->WriteTable(task.name, *task.table);
       if (trace_ != nullptr && trace_->enabled()) {
-        // Explicit track: in pooled mode the executing thread is some
-        // lane, but the write belongs on this materializer's timeline.
+        // Explicit track: the executing thread is some lane, but the
+        // write belongs on this materializer's timeline.
         trace_->CompleteOnTrack(
             track_, "materialize", task.name, write_start,
             MonotonicSeconds() - write_start,
@@ -169,50 +156,20 @@ void Materializer::WriteOne(Task task) {
   }
 }
 
-void Materializer::Loop() {
-  obs::SetThreadTrack(track_);
-  for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      busy_ = true;
-    }
-    WriteOne(std::move(task));
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      busy_ = false;
-    }
-    drained_cv_.notify_all();
-  }
-}
-
 void Materializer::DrainOnPool() {
   for (;;) {
     Task task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       if (queue_.empty()) {
-        pool_task_active_ = false;
+        drain_active_ = false;
         drained_cv_.notify_all();
         return;
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      busy_ = true;
     }
     WriteOne(std::move(task));
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      busy_ = false;
-    }
-    drained_cv_.notify_all();
   }
 }
 
@@ -244,7 +201,7 @@ double RunReport::CatalogHitRate() const {
 }
 
 // ---------------------------------------------------------------------------
-// Run state shared by the sequential loop and the parallel runtime
+// Run state and the stage runtime
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -268,22 +225,24 @@ std::vector<double> EstimateNodeCosts(const graph::Graph& g,
                                   dp.throttle);
 }
 
-/// Everything one refresh run owns. Both execution paths drive the same
-/// ExecuteNode / PublishNode pair against this state, which is what makes
-/// the 1-lane mode provably identical to the stage runtime at 1 lane.
+/// Everything one refresh run owns: the stage runtime drives ExecuteNode
+/// and PublishNode against this state at every lane count.
 struct RunState {
   RunState(const workload::MvWorkload& wl_in, const opt::Plan& plan_in,
            const opt::StageDecomposition& stages_in,
            const ControllerOptions& options_in,
-           storage::ThrottledDisk* disk_in, std::int64_t budget)
+           storage::ThrottledDisk* disk_in, LanePool& pool_in,
+           std::int64_t budget)
       : wl(wl_in),
         plan(plan_in),
         stages(stages_in),
         options(options_in),
         disk(disk_in),
+        pool(pool_in),
         catalog(budget, options_in.shared_catalog),
-        materializer(disk_in, options_in.trace, options_in.lane_pool),
-        morsel_pool(options_in.lane_pool) {
+        materializer(disk_in, pool_in, options_in.trace),
+        node_est_seconds(EstimateNodeCosts(wl_in.graph, plan_in.flags,
+                                           disk_in)) {
     const graph::Graph& g = wl.graph;
     materializer.SetRetryPolicy(options.retry_limit,
                                 options.retry_backoff_ms, options.cancel,
@@ -295,9 +254,6 @@ struct RunState {
     materializer.SetWriteFailureHook([this](const std::string& name) {
       catalog.QuarantineShared(name);
     });
-    if (options.morsel_target_seconds > 0) {
-      node_est_seconds = EstimateNodeCosts(g, plan.flags, disk);
-    }
     if (options.shared_catalog != nullptr) {
       // The catalog becomes the per-job view onto the cross-job layer:
       // every MV name is bound to its content fingerprint (reusing the
@@ -330,17 +286,15 @@ struct RunState {
   const opt::StageDecomposition& stages;
   const ControllerOptions& options;
   storage::ThrottledDisk* disk;
+  /// Lanes, morsel helpers and the materializer drain all run here.
+  LanePool& pool;
   storage::MemoryCatalog catalog;
   Materializer materializer;
   std::vector<std::int32_t> pending_children;
   std::map<std::string, std::shared_future<void>> in_flight;
   std::vector<graph::NodeId> releasable;
-  /// Pool backing interior morsel fan-out (the service pool, or the
-  /// parallel runtime's owned fallback wired in by RunStageParallel);
-  /// null keeps every node single-morsel.
-  LanePool* morsel_pool = nullptr;
-  /// Per-node cost estimates feeding opt::MorselBudget; empty when
-  /// morsel_target_seconds disables interior fan-out.
+  /// Per-node wall-cost estimates behind inline dispatch and
+  /// opt::MorselBudget.
   std::vector<double> node_est_seconds;
   /// Morsel tasks executed across the run (RunReport::morsel_tasks).
   std::atomic<std::int64_t> morsel_tasks{0};
@@ -399,8 +353,8 @@ engine::TablePtr CompressResidency(engine::TablePtr table) {
 /// `inline_exec` marks coordinator-thread inline dispatch in the span.
 NodeResult ExecuteNode(RunState& s, graph::NodeId v,
                        bool inline_exec = false) {
-  // Cancellation checkpoint: every node attempt — lane, inline, or
-  // sequential — starts by probing the token, so a cancelled job stops
+  // Cancellation checkpoint: every node attempt — on a lane or inline —
+  // starts by probing the token, so a cancelled job stops
   // within one node boundary no matter which path executes it.
   if (s.options.cancel != nullptr) s.options.cancel->ThrowIfCancelled();
   const graph::Graph& g = s.wl.graph;
@@ -410,7 +364,7 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
   stats.stage = s.stages.stage_of[v];
 
   // Span bracketing the whole node — reuse, resolve, execute, and the
-  // unflagged synchronous write — on whichever track (lane, worker, or
+  // unflagged synchronous write — on whichever track (lane or
   // coordinator thread) actually ran it. Emitted on every return path.
   obs::TraceRecorder* const trace = s.options.trace;
   const bool tracing = trace != nullptr && trace->enabled();
@@ -465,23 +419,20 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
   // pool. Results are bit-identical to single-morsel execution, and the
   // node still completes and publishes as one unit — the in-order
   // publish protocol never observes the fan-out.
-  int morsel_budget = 1;
-  if (s.morsel_pool != nullptr &&
-      static_cast<std::size_t>(v) < s.node_est_seconds.size()) {
-    // Morsel work is pure compute, so fan-out beyond physical cores only
-    // adds dispatch cost even when the pool is (deliberately)
-    // oversubscribed for I/O-bound nodes. Cap at hardware concurrency
-    // unless the caller pinned an explicit lane cap.
-    int lane_cap = s.options.morsel_max_lanes;
-    if (lane_cap <= 0) {
-      lane_cap = static_cast<int>(std::thread::hardware_concurrency());
-      if (lane_cap <= 0) lane_cap = 1;
-    }
-    morsel_budget = opt::MorselBudget(
-        s.node_est_seconds[static_cast<std::size_t>(v)],
-        s.options.morsel_target_seconds,
-        std::min(s.morsel_pool->capacity(), lane_cap));
+  //
+  // Morsel work is pure compute, so fan-out beyond physical cores only
+  // adds dispatch cost even when the pool is (deliberately)
+  // oversubscribed for I/O-bound nodes. Cap at hardware concurrency
+  // unless the caller pinned an explicit lane cap.
+  int lane_cap = s.options.morsel_max_lanes;
+  if (lane_cap <= 0) {
+    lane_cap = static_cast<int>(std::thread::hardware_concurrency());
+    if (lane_cap <= 0) lane_cap = 1;
   }
+  const int morsel_budget = opt::MorselBudget(
+      s.node_est_seconds[static_cast<std::size_t>(v)],
+      s.options.morsel_target_seconds,
+      std::min(s.pool.capacity(), lane_cap));
 
   // Each attempt is self-contained (fresh resolver, fresh timings), so a
   // retried node reports only its successful attempt's stats, plus the
@@ -508,7 +459,7 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
 
       const double exec_start = MonotonicSeconds();
       if (morsel_budget > 1) {
-        LaneMorselRunner runner(s.morsel_pool, trace,
+        LaneMorselRunner runner(&s.pool, trace,
                                 s.options.trace_job_id, stats.name,
                                 &s.morsel_tasks, s.options.cancel);
         engine::MorselContext morsel_context(
@@ -665,26 +616,6 @@ void PublishNode(RunState& s, graph::NodeId v, NodeResult result,
   report->nodes.push_back(std::move(stats));
 }
 
-/// Per-node inline-dispatch eligibility: true when the node's estimated
-/// wall cost (opt::EstimateNodeSeconds over the profiled graph metadata
-/// and the run's storage device) is at or below the configured
-/// threshold, so executing it on the coordinator thread beats paying the
-/// lane handoff. Unprofiled nodes estimate to +inf and stay on lanes.
-std::vector<char> InlineEligible(const RunState& s) {
-  const graph::Graph& g = s.wl.graph;
-  std::vector<char> ok(static_cast<std::size_t>(g.num_nodes()), 0);
-  const double threshold = s.options.inline_node_cost_seconds;
-  if (threshold <= 0) return ok;
-  const std::vector<double> est =
-      !s.node_est_seconds.empty()
-          ? s.node_est_seconds
-          : EstimateNodeCosts(g, s.plan.flags, s.disk);
-  for (std::size_t v = 0; v < est.size(); ++v) {
-    ok[v] = est[v] <= threshold ? 1 : 0;
-  }
-  return ok;
-}
-
 /// Blocks until every background materialization finished, rethrowing the
 /// first failure.
 void AwaitMaterializations(RunState& s) {
@@ -695,18 +626,8 @@ void AwaitMaterializations(RunState& s) {
   }
 }
 
-/// The classic sequential Controller loop (pre-parallel semantics):
-/// execute and publish each node at its plan-order slot.
-void RunSequential(RunState& s, RunReport* report) {
-  for (const graph::NodeId v : s.plan.order.sequence) {
-    PublishNode(s, v, ExecuteNode(s, v), report);
-  }
-  AwaitMaterializations(s);
-}
-
-/// The stage-scheduled parallel runtime with the relaxed publish
-/// protocol: ready nodes execute on up to `lanes` threads of `pool` (the
-/// service's shared LanePool, or an owned per-run fallback) while the
+/// The stage-scheduled runtime with the relaxed publish protocol: ready
+/// nodes execute on up to `lanes` lanes of the run's pool while the
 /// coordinator — the caller's thread — publishes completed results
 /// strictly in plan order. Publish and dispatch are decoupled: dispatch
 /// runs from lane-completion callbacks as well as after every publish, so
@@ -722,17 +643,22 @@ void RunSequential(RunState& s, RunReport* report) {
 /// reservation backpressure, same in-order publish, but no cross-thread
 /// handoff (RunReport::inlined_nodes counts these).
 ///
-/// Dispatch of flagged nodes is backpressured by catalog reservations
-/// (estimated size) so that concurrently executing nodes cannot jointly
-/// overshoot the budget; when a reservation cannot be funded and the node
-/// is the next to publish with no lane active, it proceeds unreserved and
-/// the publish-time Put enforces the budget with the sequential error
-/// semantics.
-void RunStageParallel(RunState& s, int lanes, LanePool* pool,
-                      RunReport* report) {
+/// At one lane the coordinator is the run's only lane: every node runs
+/// inline and the next is admitted only once the previous one published,
+/// so the dispatch sequence is exactly the plan order (the lowest ready
+/// position is always the next publish slot) and no node is handed off.
+///
+/// Dispatch of flagged nodes on more than one lane is backpressured by
+/// catalog reservations (estimated size) so that concurrently executing
+/// nodes cannot jointly overshoot the budget; when a reservation cannot
+/// be funded and the node is the next to publish with no lane active, it
+/// proceeds unreserved and the publish-time Put enforces the budget with
+/// the 1-lane error semantics.
+void RunStageParallel(RunState& s, int lanes, RunReport* report) {
   const graph::Graph& g = s.wl.graph;
   const std::vector<graph::NodeId>& seq = s.plan.order.sequence;
   StageScheduler scheduler(g, s.plan.order, s.stages);
+  const bool one_lane = lanes == 1;
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -740,24 +666,54 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
   std::size_t next_publish = 0;
   int executing = 0;
   std::string error;
-  // Below-threshold nodes queue here instead of going to a lane; the
-  // coordinator executes them itself between publishes (inline
-  // small-node dispatch). They count toward `executing` from dispatch to
-  // completion, like lane nodes.
-  const std::vector<char> inline_ok = InlineEligible(s);
+  // Inline dispatch: at one lane every node, otherwise a node whose
+  // estimated wall cost is at or below the threshold, so executing it on
+  // the coordinator beats paying the lane handoff. Unprofiled nodes
+  // estimate to +inf and stay on lanes.
+  const double inline_threshold = s.options.inline_node_cost_seconds;
+  auto runs_inline = [&](graph::NodeId v) {
+    return one_lane ||
+           (inline_threshold > 0 &&
+            s.node_est_seconds[static_cast<std::size_t>(v)] <=
+                inline_threshold);
+  };
+  // Inline nodes queue here instead of going to a lane; the coordinator
+  // executes them itself between publishes. They count toward
+  // `executing` from dispatch to completion, like lane nodes.
   std::deque<graph::NodeId> inline_ready;
-  // Owned fallback for standalone Controllers (no service pool). Declared
-  // after every piece of state its lane tasks touch: if the coordinator
-  // unwinds, ~LanePool joins the lanes while scheduler / mutex / cv /
-  // completed are still alive. (With a shared pool the coordinator never
-  // returns before `executing` drops to zero instead.)
-  std::optional<LanePool> owned;
-  if (pool == nullptr) pool = &owned.emplace(lanes);
-  // Standalone runs get interior morsels on the owned fallback pool too
-  // (every ExecuteNode below happens before `owned` unwinds).
-  if (s.morsel_pool == nullptr && s.options.morsel_target_seconds > 0) {
-    s.morsel_pool = pool;
-  }
+
+  std::function<void()> dispatch;  // defined below; run_node calls it
+
+  // Executes node `v` (on a lane, or inline on the coordinator) and
+  // records the outcome under `mutex`: the one completion path for both.
+  // Called without `mutex` held.
+  auto run_node = [&](graph::NodeId v, bool inline_exec) {
+    NodeResult result;
+    std::string exec_error;
+    try {
+      result = ExecuteNode(s, v, inline_exec);
+    } catch (const std::exception& e) {
+      exec_error = e.what();
+    }
+    std::lock_guard<std::mutex> inner(mutex);
+    --executing;
+    if (exec_error.empty()) {
+      if (inline_exec) ++report->inlined_nodes;
+      // Unflagged outputs are on disk already — children may read them
+      // before the (in-order) publish happens.
+      if (!s.plan.flags[v]) scheduler.MarkAvailable(v);
+      completed.emplace(v, std::move(result));
+      try {
+        dispatch();
+      } catch (const std::exception& e) {
+        if (error.empty()) error = e.what();
+      }
+    } else {
+      s.catalog.CancelReservation(g.node(v).name);
+      if (error.empty()) error = exec_error;
+    }
+    cv.notify_all();
+  };
 
   // Dispatches ready nodes while this run's lanes are free, in
   // order-position priority. Requires `mutex`; called by the coordinator
@@ -767,7 +723,7 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
   // First dispatch into each antichain stage is marked with an instant
   // event — the trace shows where the run crossed stage boundaries.
   std::int32_t last_dispatched_stage = -1;
-  std::function<void()> dispatch = [&] {
+  dispatch = [&] {
     // Stage-dispatch cancellation checkpoint: a latched token stops all
     // further dispatch (in-flight nodes notice at their own next
     // boundary), recorded via the run's single error slot.
@@ -780,25 +736,28 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
     while (error.empty() && scheduler.HasReady()) {
       const graph::NodeId v = scheduler.PeekReady();
       // Cheap nodes run inline on the coordinator and consume no lane;
-      // everything else waits for a free lane as before.
-      const bool run_inline = inline_ok[static_cast<std::size_t>(v)] != 0;
-      if (!run_inline && executing >= lanes) break;
+      // everything else waits for a free lane. One lane admits a node
+      // only once the previous one published.
+      const bool run_inline = runs_inline(v);
+      if (one_lane ? executing > 0 || !completed.empty()
+                   : !run_inline && executing >= lanes) {
+        break;
+      }
       const std::string& name = g.node(v).name;
-      if (s.plan.flags[v]) {
+      if (s.plan.flags[v] && !one_lane) {
         const std::int64_t estimate =
             std::max<std::int64_t>(0, g.node(v).size_bytes);
         // Liveness escape: with no lane active and the head of the
         // publish order ready, dispatching it unreserved is exactly the
-        // sequential regime — the publish-time Put enforces the budget
-        // with sequential error semantics. Without this escape,
-        // reservations held by completed-but-unpublished later nodes
-        // could wedge the run. (While a publish is in flight the head is
-        // that publishing node, never a ready one, so the escape cannot
-        // race the replay.)
-        const bool sequential_turn =
-            executing == 0 && next_publish < seq.size() &&
-            seq[next_publish] == v;
-        if (!s.catalog.Reserve(name, estimate) && !sequential_turn) break;
+        // 1-lane regime — the publish-time Put enforces the budget with
+        // the 1-lane error semantics. Without this escape, reservations
+        // held by completed-but-unpublished later nodes could wedge the
+        // run. (While a publish is in flight the head is that publishing
+        // node, never a ready one, so the escape cannot race the replay.)
+        const bool publish_turn = executing == 0 &&
+                                  next_publish < seq.size() &&
+                                  seq[next_publish] == v;
+        if (!s.catalog.Reserve(name, estimate) && !publish_turn) break;
       }
       scheduler.PopReady();
       if (s.options.trace != nullptr && s.options.trace->enabled()) {
@@ -826,33 +785,7 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
         inline_ready.push_back(v);
         continue;  // the coordinator picks it up (cv signaled by caller)
       }
-      pool->Submit([&s, &g, &mutex, &cv, &executing, &error, &completed,
-                    &scheduler, &dispatch, v] {
-        NodeResult result;
-        std::string exec_error;
-        try {
-          result = ExecuteNode(s, v);
-        } catch (const std::exception& e) {
-          exec_error = e.what();
-        }
-        std::lock_guard<std::mutex> inner(mutex);
-        --executing;
-        if (exec_error.empty()) {
-          // Unflagged outputs are on disk already — children may read
-          // them before the (in-order) publish happens.
-          if (!s.plan.flags[v]) scheduler.MarkAvailable(v);
-          completed.emplace(v, std::move(result));
-          try {
-            dispatch();
-          } catch (const std::exception& e) {
-            if (error.empty()) error = e.what();
-          }
-        } else {
-          s.catalog.CancelReservation(g.node(v).name);
-          if (error.empty()) error = exec_error;
-        }
-        cv.notify_all();
-      });
+      s.pool.Submit([&run_node, v] { run_node(v, /*inline_exec=*/false); });
     }
   };
 
@@ -871,34 +804,13 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
       if (it == completed.end()) {
         // No publish possible yet: execute queued inline nodes here, on
         // the coordinator thread — the whole point of inline dispatch is
-        // skipping the lane handoff for sub-threshold nodes.
+        // skipping the lane handoff.
         if (!inline_ready.empty()) {
           const graph::NodeId iv = inline_ready.front();
           inline_ready.pop_front();
           lock.unlock();
-          NodeResult result;
-          std::string exec_error;
-          try {
-            result = ExecuteNode(s, iv, /*inline_exec=*/true);
-          } catch (const std::exception& e) {
-            exec_error = e.what();
-          }
+          run_node(iv, /*inline_exec=*/true);
           lock.lock();
-          --executing;
-          if (exec_error.empty()) {
-            ++report->inlined_nodes;
-            if (!s.plan.flags[iv]) scheduler.MarkAvailable(iv);
-            completed.emplace(iv, std::move(result));
-            try {
-              dispatch();
-            } catch (const std::exception& e) {
-              if (error.empty()) error = e.what();
-            }
-          } else {
-            s.catalog.CancelReservation(g.node(iv).name);
-            if (error.empty()) error = exec_error;
-          }
-          cv.notify_all();
           continue;
         }
         cv.wait(lock, [&] {
@@ -932,8 +844,8 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
     if (!lock.owns_lock()) lock.lock();
     if (error.empty()) error = e.what();
   }
-  // Inline nodes still queued (error unwind) were never handed to a
-  // lane: release their execution claims here so the wait below and the
+  // Inline nodes still queued (error unwind) were never executed:
+  // release their execution claims here so the wait below and the
   // liveness escape's executing==0 invariant stay truthful.
   while (!inline_ready.empty()) {
     const graph::NodeId v = inline_ready.front();
@@ -941,8 +853,8 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
     --executing;
     if (s.plan.flags[v]) s.catalog.CancelReservation(g.node(v).name);
   }
-  // Every submitted task must finish before the run state unwinds —
-  // mandatory with a shared pool, where nothing joins on our behalf.
+  // Every submitted task must finish before the run state unwinds: the
+  // pool outlives the run, so nothing joins on our behalf.
   cv.wait(lock, [&] { return executing == 0; });
   lock.unlock();
 
@@ -958,7 +870,14 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
 
 Controller::Controller(storage::ThrottledDisk* disk,
                        ControllerOptions options)
-    : disk_(disk), options_(options) {}
+    : disk_(disk),
+      options_(options),
+      owned_pool_(options.lane_pool != nullptr
+                      ? nullptr
+                      : std::make_unique<LanePool>(
+                            std::max(1, options.max_parallel_nodes))),
+      pool_(options.lane_pool != nullptr ? options.lane_pool
+                                         : owned_pool_.get()) {}
 
 void Controller::LoadBaseTables(
     const std::map<std::string, engine::TablePtr>& tables) {
@@ -1022,7 +941,7 @@ RunReport Controller::RunWithBudget(const workload::MvWorkload& wl,
     return report;
   }
 
-  RunState state(wl, *active, *stages, options_, disk_, budget);
+  RunState state(wl, *active, *stages, options_, disk_, *pool_, budget);
   // Classifies a failed run as cooperatively cancelled. The stage
   // runtime collapses worker exceptions into a string, so the check is
   // token state + the exact CancelledError message constants (never a
@@ -1039,11 +958,7 @@ RunReport Controller::RunWithBudget(const workload::MvWorkload& wl,
   };
   const double run_start = MonotonicSeconds();
   try {
-    if (lanes > 1 || options_.force_stage_runtime) {
-      RunStageParallel(state, lanes, options_.lane_pool, &report);
-    } else {
-      RunSequential(state, &report);
-    }
+    RunStageParallel(state, lanes, &report);
   } catch (const std::exception& e) {
     report.error = e.what();
     report.node_retries = state.retries.load(std::memory_order_relaxed);

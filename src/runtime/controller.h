@@ -7,9 +7,9 @@
 #include <functional>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -17,38 +17,32 @@
 #include "obs/trace.h"
 #include "opt/types.h"
 #include "runtime/cancel.h"
+#include "runtime/lane_pool.h"
 #include "storage/memory_catalog.h"
 #include "storage/throttled_disk.h"
 #include "workload/workloads.h"
 
 namespace sc::runtime {
 
-class LanePool;
-
 /// Background materialization worker (paper §III-C): a single writer
 /// channel that persists Memory Catalog tables to external storage while
 /// the DBMS executes downstream nodes. FIFO, mirroring one storage write
 /// channel.
 ///
-/// Two execution modes share the same queue and semantics:
-/// - Owned thread (pool == nullptr): the pre-pool behaviour — one writer
-///   thread per Materializer, constructed eagerly. Standalone fallback.
-/// - Pooled (pool != nullptr): writes drain on the service-wide LanePool
-///   via a single self-requeueing drain task, so steady-state jobs spawn
-///   no per-run writer thread (the last per-run thread construction).
-///   At most one drain task is ever in flight, which preserves the
-///   strict single-writer FIFO ordering per file; spans still land on
-///   this materializer's own "materializer-<k>" track regardless of
-///   which lane executes the drain.
+/// Writes drain on a LanePool (the service-wide pool, or the one a
+/// standalone Controller owns) via a single self-requeueing drain task:
+/// at most one drain task is ever in flight, which preserves the strict
+/// single-writer FIFO ordering per file, and spans land on this
+/// materializer's own "materializer-<k>" track regardless of which lane
+/// executes the drain.
 class Materializer {
  public:
-  /// `trace` (optional, not owned) receives a "materialize" span per
-  /// completed write on this materializer's track ("materializer-<k>").
-  /// `pool` (optional, not owned; must outlive this object) switches to
-  /// pooled mode.
-  explicit Materializer(storage::ThrottledDisk* disk,
-                        obs::TraceRecorder* trace = nullptr,
-                        LanePool* pool = nullptr);
+  /// `pool` (not owned) must outlive this object. `trace` (optional, not
+  /// owned) receives a "materialize" span per completed write on this
+  /// materializer's track ("materializer-<k>").
+  Materializer(storage::ThrottledDisk* disk, LanePool& pool,
+               obs::TraceRecorder* trace = nullptr);
+  /// Waits for every queued write to finish.
   ~Materializer();
 
   Materializer(const Materializer&) = delete;
@@ -72,8 +66,8 @@ class Materializer {
                       const CancelToken* cancel,
                       std::atomic<std::int64_t>* retry_counter = nullptr);
 
-  /// Hook invoked (from the writer thread/lane) with the table name when
-  /// a write permanently fails, *before* the task's future is failed —
+  /// Hook invoked (from the draining lane) with the table name when a
+  /// write permanently fails, *before* the task's future is failed —
   /// the caller's chance to quarantine optimistic publishes of that
   /// output. Call before the first Enqueue. Must not throw.
   void SetWriteFailureHook(std::function<void(const std::string&)> hook);
@@ -85,16 +79,15 @@ class Materializer {
     std::promise<void> done;
   };
 
-  void Loop();
-  /// Pooled-mode drain body: writes queued tasks FIFO until the queue is
-  /// empty, then retires (Enqueue schedules a fresh one as needed).
+  /// Drain-task body: writes queued tasks FIFO until the queue is empty,
+  /// then retires (Enqueue schedules a fresh one as needed).
   void DrainOnPool();
-  /// Executes one write and settles its promise (both modes).
+  /// Executes one write and settles its promise.
   void WriteOne(Task task);
 
   storage::ThrottledDisk* disk_;
+  LanePool& pool_;
   obs::TraceRecorder* trace_;  // not owned; may be null
-  LanePool* pool_;             // not owned; null = owned-thread mode
   std::string track_;          // "materializer-<k>" trace track
   int retry_limit_ = 0;
   double retry_backoff_ms_ = 1.0;
@@ -102,14 +95,11 @@ class Materializer {
   std::atomic<std::int64_t>* retry_counter_ = nullptr;  // not owned
   std::function<void(const std::string&)> write_failure_hook_;
   std::mutex mutex_;
-  std::condition_variable cv_;
   std::condition_variable drained_cv_;
   std::deque<Task> queue_;
-  bool busy_ = false;
-  bool stopping_ = false;
-  /// Pooled mode: a drain task has been submitted and not yet retired.
-  bool pool_task_active_ = false;
-  std::thread worker_;
+  /// A drain task has been submitted and not yet retired: some write is
+  /// queued or in progress.
+  bool drain_active_ = false;
 };
 
 struct ControllerOptions {
@@ -120,39 +110,38 @@ struct ControllerOptions {
   bool background_materialize = true;
   /// Maximum number of DAG nodes of one run executing concurrently
   /// (intra-job lanes). 1 — the default — is the paper's sequential
-  /// Controller and is guaranteed to produce the same node stats, catalog
-  /// hit/miss counts, and peak memory as the pre-parallel execution loop.
-  /// Values > 1 route the run through the stage-scheduled runtime:
-  /// independent nodes execute on LanePool lanes while flagged outputs
-  /// are still published to the Memory Catalog in optimized order.
+  /// Controller: the coordinator thread is the run's only lane and
+  /// executes then publishes each node in plan order. Values > 1 execute
+  /// independent nodes on LanePool lanes while flagged outputs are still
+  /// published to the Memory Catalog in optimized order; node stats,
+  /// catalog hit/miss counts and peak memory match the 1-lane run.
   int max_parallel_nodes = 1;
-  /// Routes 1-lane runs through the stage-scheduled runtime instead of
-  /// the classic sequential loop. Semantics are identical either way;
-  /// the knob exists so tests can assert that equivalence.
-  bool force_stage_runtime = false;
-  /// Inline small-node dispatch threshold (seconds). In parallel runs,
-  /// a ready node whose estimated wall cost (opt::EstimateNodeSeconds:
-  /// profiled compute plus modeled I/O under throttled storage) is at or
-  /// below this threshold executes on the coordinator thread itself
-  /// instead of being handed to a LanePool lane — for sub-millisecond
-  /// nodes the cross-thread handoff and wakeup cost more than the node,
-  /// which is what made lanes *lose* to the sequential loop on cheap
-  /// workloads. Nodes that were never profiled have unknown cost and
-  /// always go to a lane. <= 0 disables inlining. Inlined executions are
-  /// reported in RunReport::inlined_nodes; results, publish order, and
-  /// catalog behaviour are unaffected (stage_runtime_test asserts the
-  /// sequential-equivalence contract with the threshold active).
+  /// Inline small-node dispatch threshold (seconds). In runs with more
+  /// than one lane, a ready node whose estimated wall cost
+  /// (opt::EstimateNodeSeconds: profiled compute plus modeled I/O under
+  /// throttled storage) is at or below this threshold executes on the
+  /// coordinator thread itself instead of being handed to a LanePool
+  /// lane — for sub-millisecond nodes the cross-thread handoff and wakeup
+  /// cost more than the node, which is what made lanes *lose* to one lane
+  /// on cheap workloads. Nodes that were never profiled have unknown cost
+  /// and always go to a lane. <= 0 disables inlining. A 1-lane run
+  /// executes every node on the coordinator whatever the threshold.
+  /// Inlined executions are reported in RunReport::inlined_nodes;
+  /// results, publish order, and catalog behaviour are unaffected
+  /// (stage_runtime_test asserts equivalence with the 1-lane run with the
+  /// threshold active).
   ///
   /// The 1 ms default is ~10x the measured lane handoff + wakeup cost:
   /// vectorized operator nodes at bench scale profile at 5-200 us (pure
   /// dispatch overhead if offloaded), while I/O-bound nodes on throttled
   /// storage estimate at several ms and keep their lane parallelism.
   double inline_node_cost_seconds = 0.001;
-  /// Service-wide executor pool the run borrows its execution lanes from
-  /// (not owned; must outlive the Controller's runs). When null, parallel
-  /// runs fall back to an owned pool constructed per run — the standalone
-  /// Controller behaviour. The RefreshService always supplies its shared
-  /// pool so steady-state jobs pay zero thread construction.
+  /// Service-wide executor pool the run borrows its execution lanes,
+  /// morsel helpers and Materializer drain from (not owned; must outlive
+  /// the Controller's runs). When null, the Controller owns one pool of
+  /// capacity max(1, max_parallel_nodes) for its whole lifetime. The
+  /// RefreshService always supplies its shared pool so steady-state jobs
+  /// pay zero thread construction.
   LanePool* lane_pool = nullptr;
   /// Morsel-driven intra-operator parallelism (Leis et al., SIGMOD
   /// 2014): a node whose estimated wall cost (opt::EstimateNodeSeconds,
@@ -166,8 +155,8 @@ struct ControllerOptions {
   /// unit, and unprofiled nodes (est = +inf) get the full budget with
   /// the per-operator row floor below making the runtime call. <= 0
   /// disables interior fan-out entirely (the exact pre-morsel code
-  /// path). Requires a lane_pool (or the parallel runtime's owned
-  /// fallback pool); sequential runs without any pool stay sequential.
+  /// path). Fan-out is capped at the pool's capacity, so a standalone
+  /// 1-lane Controller always runs single-morsel.
   double morsel_target_seconds = 0.005;
   /// Row floor per morsel: operators fan out only ranges of at least
   /// this many rows (a smaller morsel pays more in dispatch than it
@@ -293,17 +282,16 @@ struct RunReport {
   std::int64_t catalog_hits = 0;
   std::int64_t catalog_misses = 0;
   /// Execution lanes the run actually used (min of max_parallel_nodes and
-  /// the widest antichain; 1 for sequential runs).
+  /// the widest antichain).
   int parallel_lanes = 1;
   /// Antichain stages of the executed order.
   std::int32_t num_stages = 0;
   /// Dispatch attempts denied by Memory-Catalog reservation backpressure
-  /// (0 for sequential runs): how often concurrent lanes were held back
-  /// to keep in-flight flagged outputs within the budget.
+  /// (0 at one lane, which reserves nothing): how often concurrent lanes
+  /// were held back to keep in-flight flagged outputs within the budget.
   std::int64_t reserve_denials = 0;
-  /// Nodes executed inline on the coordinator thread instead of a lane
-  /// (below-threshold estimated cost; 0 for sequential runs, which have
-  /// no handoff to skip).
+  /// Nodes executed inline on the coordinator thread instead of a lane:
+  /// below-threshold nodes, or every node of a 1-lane run.
   std::int64_t inlined_nodes = 0;
   /// Interior morsel tasks executed by fanned-out operators across the
   /// run (0 when every node ran single-morsel). Counts all participants
@@ -331,14 +319,16 @@ struct RunReport {
 /// are additionally kept in the Memory Catalog until their last consumer
 /// finishes, with their disk write running in the background.
 ///
-/// With max_parallel_nodes > 1 the run executes on the stage-scheduled
-/// parallel runtime: a StageScheduler derives antichain stages from the
-/// optimizer's total order and dispatches ready nodes (all DAG parents
-/// available) to a LanePool (the service's shared pool, or an owned
-/// fallback), in order-position priority. Flagged outputs are still
+/// Every run executes on the stage-scheduled runtime: a StageScheduler
+/// derives antichain stages from the optimizer's total order and
+/// dispatches ready nodes (all DAG parents available), in order-position
+/// priority, to lanes of a LanePool (the service's shared pool, or the
+/// one this Controller owns). At one lane the coordinator thread is the
+/// only lane: it executes and publishes each node in plan order, exactly
+/// the paper's sequential Controller. Flagged outputs are always
 /// *published* to the Memory Catalog strictly in the optimized order —
-/// the publish step replays the sequential Put / lazy-release sequence,
-/// so the catalog's budget behaviour (and the paper's residency
+/// the publish step replays the 1-lane Put / lazy-release sequence, so
+/// the catalog's budget behaviour (and the paper's residency
 /// semantics) are independent of the lane count; the catalog's
 /// reservation API additionally backpressures dispatch so concurrently
 /// executing flagged nodes cannot jointly overshoot the budget while
@@ -385,9 +375,16 @@ class Controller {
   /// "observed performance metrics from past runs" the Optimizer consumes.
   RunReport ProfileAndAnnotate(workload::MvWorkload* wl);
 
+  /// The pool every run executes on: options.lane_pool, or the one this
+  /// Controller owns.
+  LanePool& lane_pool() { return *pool_; }
+
  private:
   storage::ThrottledDisk* disk_;
   ControllerOptions options_;
+  /// Set when options.lane_pool is null; lanes spawn on first use.
+  std::unique_ptr<LanePool> owned_pool_;
+  LanePool* pool_;
 };
 
 }  // namespace sc::runtime

@@ -27,8 +27,8 @@ LanePool::~LanePool() {
     stopping_ = true;
   }
   cv_.notify_all();
-  // Lanes drain the queue before exiting, so joining here preserves the
-  // run-everything-then-stop contract of the per-run pool this replaces.
+  // Lanes drain the queue before exiting, so joining here runs every
+  // queued task before the pool stops.
   for (Lane& lane : lanes_) {
     if (lane.thread.joinable()) lane.thread.join();
   }

@@ -21,16 +21,17 @@ struct LanePoolOptions {
   double idle_shutdown_seconds = 30.0;
 };
 
-/// Service-wide, work-queue-backed executor pool behind the parallel
-/// runtime's execution lanes. Unlike the per-run pool it replaces, a
-/// LanePool is constructed once (by the RefreshService, or standalone
-/// Controller runs as an owned fallback) and reused by every job: lanes
-/// spawn lazily on demand, stay alive between jobs, and only exit after
+/// Work-queue-backed executor pool behind the stage runtime's execution
+/// lanes, morsel helpers and Materializer drains. A LanePool is
+/// constructed once — by the RefreshService, or by a standalone
+/// Controller for its whole lifetime — and reused by every run: lanes
+/// spawn lazily on demand, stay alive between runs, and only exit after
 /// `idle_shutdown_seconds` without work — so steady-state refresh traffic
 /// pays zero thread construction per job.
 ///
-/// The pool is deliberately dumb: each task is one DAG-node execution,
-/// picked up FIFO by whichever lane frees first. All scheduling policy
+/// The pool is deliberately dumb: each task (a DAG-node execution, a
+/// morsel, a materializer drain) is picked up FIFO by whichever lane
+/// frees first. All scheduling policy
 /// (readiness, dispatch order, budget backpressure, per-job lane caps)
 /// lives in the Controller's run loop, so one pool serves any number of
 /// concurrently running jobs.

@@ -15,6 +15,13 @@
 
 namespace sc::service {
 
+namespace {
+/// Grant renegotiation keeps plan peak × this slack and returns the rest
+/// of the grant early. The slack absorbs actual output sizes overshooting
+/// the optimizer's estimates.
+constexpr double kBudgetReturnSlack = 1.25;
+}  // namespace
+
 RefreshService::RefreshService(storage::ThrottledDisk* disk,
                                ServiceOptions options)
     : disk_(disk),
@@ -31,9 +38,7 @@ RefreshService::RefreshService(storage::ThrottledDisk* disk,
       }()),
       lanes_broker_(std::max(1, options_.num_workers),
                     options_.max_intra_job_lanes),
-      lane_pool_(runtime::LanePoolOptions{
-          std::max(1, options_.num_workers),
-          options_.lane_idle_shutdown_seconds}),
+      lane_pool_(std::max(1, options_.num_workers)),
       plan_cache_(options_.plan_cache_capacity),
       shared_catalog_(options_.global_budget, 8, [&] {
         storage::SpillOptions spill;
@@ -488,7 +493,7 @@ JobResult RefreshService::Execute(Job& job) {
     bool any_resident = false;
     std::uint64_t plan_key = job.fingerprint;
     std::vector<std::uint64_t> fps;  // outlives the controller runs
-    if (options_.share_catalog && options_.sharing_aware_optimization) {
+    if (options_.share_catalog) {
       fps = graph::FingerprintNodes(wl.graph, options_.shared_epoch);
       resident = shared_catalog_.ContainsAll(fps);
       // Only positive-score resident nodes change the optimization
@@ -578,11 +583,11 @@ JobResult RefreshService::Execute(Job& job) {
     }
 
     // Grant renegotiation: the plan's peak memory need is now known, so
-    // budget beyond need × slack goes back to the broker immediately,
-    // waking head-of-line waiters instead of idling until Release. The
-    // need is estimate-based, so skip it when any flagged node lacks a
-    // size estimate (nothing trustworthy to keep by).
-    if (options_.budget_return_slack >= 1.0 && grant.bytes > 0) {
+    // budget beyond need × kBudgetReturnSlack goes back to the broker
+    // immediately, waking head-of-line waiters instead of idling until
+    // Release. The need is estimate-based, so skip it when any flagged
+    // node lacks a size estimate (nothing trustworthy to keep by).
+    if (grant.bytes > 0) {
       bool estimates_present = true;
       for (const graph::NodeId v : opt::FlaggedNodes(plan.flags)) {
         if (wl.graph.node(v).size_bytes <= 0) estimates_present = false;
@@ -590,7 +595,7 @@ JobResult RefreshService::Execute(Job& job) {
       const std::int64_t need = opt::PeakMemoryUsage(
           wl.graph, plan.order, plan.flags);
       const std::int64_t keep = static_cast<std::int64_t>(
-          static_cast<double>(need) * options_.budget_return_slack);
+          static_cast<double>(need) * kBudgetReturnSlack);
       if (estimates_present && keep < grant.bytes) {
         result.returned_budget = grant.bytes - keep;
         broker_.ReturnUnused(&grant, result.returned_budget);
@@ -617,13 +622,9 @@ JobResult RefreshService::Execute(Job& job) {
     controller_options.max_parallel_nodes = lanes;
     controller_options.inline_node_cost_seconds =
         options_.inline_node_cost_seconds;
-    controller_options.morsel_target_seconds =
-        options_.morsel_target_seconds;
-    controller_options.morsel_min_rows = options_.morsel_min_rows;
-    controller_options.morsel_max_lanes = options_.morsel_max_lanes;
     controller_options.compress_residency = options_.compress_residency;
-    // Parallel runs borrow threads from the service-wide pool — zero
-    // thread construction per job in steady state.
+    // Runs borrow lanes and materializer drains from the service-wide
+    // pool — zero thread construction per job in steady state.
     controller_options.lane_pool = &lane_pool_;
     // Fault tolerance: the job's token is polled at every stage /
     // node / morsel / materialize boundary, injected faults fire inside

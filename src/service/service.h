@@ -44,27 +44,11 @@ struct ServiceOptions {
   /// stage-aware ordering post-pass (opt::WidenStages) so cached plans
   /// feed the lanes as wide an early antichain as peak memory allows.
   int max_intra_job_lanes = 1;
-  /// Idle-shutdown horizon of the service-wide LanePool: execution lanes
-  /// idle this long exit and are respawned on demand. <= 0 keeps idle
-  /// lanes alive for the service's lifetime.
-  double lane_idle_shutdown_seconds = 30.0;
   /// Inline small-node dispatch threshold forwarded to every job's
   /// Controller (ControllerOptions::inline_node_cost_seconds): parallel
   /// runs execute nodes estimated at or below this many seconds on the
   /// coordinator thread instead of a pool lane. <= 0 disables inlining.
   double inline_node_cost_seconds = 0.001;
-  /// Morsel granularity forwarded to every job's Controller
-  /// (ControllerOptions::morsel_target_seconds): a node estimated above
-  /// this many seconds splits its hash-join / aggregation interiors into
-  /// morsels executed by idle lanes of the service pool, so one giant
-  /// node no longer pins job latency to a single lane. Results are
-  /// bit-identical; <= 0 disables interior fan-out.
-  double morsel_target_seconds = 0.005;
-  /// Row floor per morsel (ControllerOptions::morsel_min_rows).
-  std::int64_t morsel_min_rows = 8192;
-  /// Interior fan-out cap (ControllerOptions::morsel_max_lanes):
-  /// 0 = the machine's hardware concurrency.
-  int morsel_max_lanes = 0;
   /// Global Memory-Catalog bytes shared by all in-flight jobs.
   std::int64_t global_budget = 256LL * 1024 * 1024;
   /// Per-job budget request when the job does not name one. 0 = ask for
@@ -81,8 +65,12 @@ struct ServiceOptions {
   /// one content-keyed storage::SharedCatalog (budget = global_budget),
   /// so tenants refreshing the same content read each other's resident
   /// outputs — and skip recomputing nodes whose outputs are already
-  /// resident — instead of each funding a private catalog slice. Off
-  /// reproduces the PR-3 private-catalog behaviour exactly.
+  /// resident — instead of each funding a private catalog slice. Jobs
+  /// also plan sharing-aware: shared residency is snapshotted before
+  /// planning and resident nodes are re-costed
+  /// (opt::ReOptimizeWithResidency), steering the knapsack budget to
+  /// not-yet-shared nodes. Off reproduces the private-catalog behaviour
+  /// exactly.
   bool share_catalog = true;
   /// SharedCatalog spill tier: when non-empty, entries evicted under
   /// budget pressure are demoted to compressed SCC1 files in this
@@ -105,22 +93,9 @@ struct ServiceOptions {
   /// runtime::ControllerOptions::compress_residency). Off reproduces the
   /// plain-string footprints of the pre-compression service.
   bool compress_residency = true;
-  /// Sharing-aware optimization pre-pass: snapshot shared residency
-  /// before planning and re-cost resident nodes
-  /// (opt::ReOptimizeWithResidency), steering the knapsack budget to
-  /// not-yet-shared nodes. Residency-adjusted plans are cached under a
-  /// residency-salted key next to the base plan. Only meaningful with
-  /// share_catalog.
-  bool sharing_aware_optimization = true;
   /// Content-fingerprint salt (a data epoch): bump it to invalidate
   /// every cross-job match, e.g. after base tables change.
   std::uint64_t shared_epoch = 0;
-  /// Grant renegotiation: once a job's plan is known, budget beyond
-  /// plan peak × this slack is returned to the BudgetBroker early
-  /// (ReturnUnused), waking waiters before the run completes. The slack
-  /// absorbs actual output sizes overshooting the optimizer's estimates;
-  /// values < 1 disable early return.
-  double budget_return_slack = 1.25;
   /// Forwarded to each worker's Controller.
   bool background_materialize = true;
   /// Optimizer configuration used when a job misses the plan cache.

@@ -35,7 +35,8 @@ std::map<std::string, engine::TablePtr> TinyData() {
 
 TEST(MaterializerTest, WritesInBackground) {
   storage::ThrottledDisk disk(FreshDir("mat"), FastDisk());
-  Materializer materializer(&disk);
+  LanePool pool(1);
+  Materializer materializer(&disk, pool);
   std::vector<engine::Column> cols;
   cols.push_back(engine::Column::FromInts({1, 2, 3}));
   auto table = std::make_shared<engine::Table>(engine::Table(

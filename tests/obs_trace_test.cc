@@ -207,9 +207,9 @@ TracedRun RunControllerTraced(const std::string& tag, int lanes) {
   runtime::ControllerOptions options;
   options.budget = budget;
   options.max_parallel_nodes = lanes;
-  options.force_stage_runtime = true;
   // Force every node onto a LanePool lane so lane tracks appear even
-  // for the cheap profiled nodes the dispatcher would inline.
+  // for the cheap profiled nodes the dispatcher would inline. (At one
+  // lane the coordinator runs every node regardless.)
   options.inline_node_cost_seconds = 0.0;
   options.trace = &recorder;
   options.trace_job_id = 42;
@@ -261,6 +261,19 @@ TEST(ControllerTraceTest, SpanOrderingMatchesPublishOrderAcrossLanes) {
   EXPECT_EQ(publish_order(four), expected_four);
   // Same plan, same publish order.
   EXPECT_EQ(expected, expected_four);
+
+  // At one lane the coordinator is the only lane: every node span sits
+  // on the calling thread's track, none on a pool lane.
+  std::set<std::string> one_tracks;
+  for (const auto& event : one.events) {
+    if (event.category == "node" && !event.instant) {
+      one_tracks.insert(event.track);
+    }
+  }
+  ASSERT_EQ(one_tracks.size(), 1u);
+  EXPECT_NE(one_tracks.begin()->rfind("lane-", 0), 0u)
+      << *one_tracks.begin();
+  EXPECT_EQ(one.report.inlined_nodes, static_cast<std::int64_t>(num_nodes));
 
   // Node spans nest inside the run: every span carries the job id arg
   // and a track; the 4-lane run actually used lane tracks.

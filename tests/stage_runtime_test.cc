@@ -164,10 +164,65 @@ TEST(StageSchedulerTest, ReadyRequiresEveryParentAvailable) {
 }
 
 // ---------------------------------------------------------------------------
-// Sequential-mode guarantee (acceptance regression test)
+// One-lane guarantee (acceptance regression test)
 // ---------------------------------------------------------------------------
 
-TEST(StageRuntimeTest, OneLaneStageRuntimeIdenticalToSequentialLoop) {
+/// Writes No-opt's MVs (topological order, nothing flagged, one lane) to
+/// a fresh disk: the byte-level oracle for every optimized run.
+void RunNoOptReference(storage::ThrottledDisk* disk,
+                       const std::map<std::string, engine::TablePtr>& data,
+                       const workload::MvWorkload& wl) {
+  Controller reference(disk, ControllerOptions{});
+  reference.LoadBaseTables(data);
+  const RunReport report = reference.RunUnoptimized(wl);
+  ASSERT_TRUE(report.ok) << report.error;
+}
+
+void ExpectMvsMatch(const workload::MvWorkload& wl,
+                    storage::ThrottledDisk& expected,
+                    storage::ThrottledDisk& actual) {
+  for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
+    const std::string& name = wl.graph.node(v).name;
+    EXPECT_TRUE(expected.ReadTable(name) == actual.ReadTable(name)) << name;
+  }
+}
+
+std::vector<std::string> PublishOrder(const RunReport& report) {
+  std::vector<std::string> names;
+  for (const NodeRunStats& node : report.nodes) names.push_back(node.name);
+  return names;
+}
+
+std::vector<std::string> PlanOrder(const workload::MvWorkload& wl,
+                                   const opt::Plan& plan) {
+  std::vector<std::string> names;
+  for (const graph::NodeId v : plan.order.sequence) {
+    names.push_back(wl.graph.node(v).name);
+  }
+  return names;
+}
+
+/// The deterministic fields of a run, 1-lane report as the reference:
+/// node stats (in publish order), catalog hit/miss counts, peak memory.
+void ExpectSameResidency(const RunReport& one, const RunReport& many,
+                         int lanes) {
+  EXPECT_EQ(one.peak_memory, many.peak_memory) << lanes;
+  EXPECT_EQ(one.catalog_hits, many.catalog_hits) << lanes;
+  EXPECT_EQ(one.catalog_misses, many.catalog_misses) << lanes;
+  ASSERT_EQ(one.nodes.size(), many.nodes.size()) << lanes;
+  for (std::size_t i = 0; i < one.nodes.size(); ++i) {
+    EXPECT_EQ(one.nodes[i].name, many.nodes[i].name) << lanes;
+    EXPECT_EQ(one.nodes[i].output_bytes, many.nodes[i].output_bytes)
+        << lanes;
+    EXPECT_EQ(one.nodes[i].output_rows, many.nodes[i].output_rows) << lanes;
+    EXPECT_EQ(one.nodes[i].output_in_memory,
+              many.nodes[i].output_in_memory)
+        << lanes;
+    EXPECT_EQ(one.nodes[i].stage, many.nodes[i].stage) << lanes;
+  }
+}
+
+TEST(StageRuntimeTest, OneLaneRunMatchesNoOptInPlanOrder) {
   const auto data = TinyData();
   workload::MvWorkload wl = workload::BuildIo1();
 
@@ -180,44 +235,78 @@ TEST(StageRuntimeTest, OneLaneStageRuntimeIdenticalToSequentialLoop) {
   const auto plan = opt::Optimizer{}.Optimize(wl.graph, budget).plan;
   ASSERT_FALSE(opt::FlaggedNodes(plan.flags).empty());
 
-  storage::ThrottledDisk disk_seq(FreshDir("eq_seq"), FastDisk());
-  ControllerOptions seq_options;
-  seq_options.budget = budget;
-  Controller sequential(&disk_seq, seq_options);
-  sequential.LoadBaseTables(data);
-  const RunReport seq = sequential.Run(wl, plan);
-  ASSERT_TRUE(seq.ok) << seq.error;
+  storage::ThrottledDisk disk_ref(FreshDir("eq_noopt"), FastDisk());
+  RunNoOptReference(&disk_ref, data, wl);
 
-  storage::ThrottledDisk disk_stage(FreshDir("eq_stage"), FastDisk());
-  ControllerOptions stage_options;
-  stage_options.budget = budget;
-  stage_options.max_parallel_nodes = 1;
-  stage_options.force_stage_runtime = true;
-  Controller staged(&disk_stage, stage_options);
-  staged.LoadBaseTables(data);
-  const RunReport stage = staged.Run(wl, plan);
-  ASSERT_TRUE(stage.ok) << stage.error;
+  storage::ThrottledDisk disk(FreshDir("eq_one"), FastDisk());
+  ControllerOptions options;
+  options.budget = budget;
+  Controller controller(&disk, options);
+  controller.LoadBaseTables(data);
+  const RunReport report = controller.Run(wl, plan);
+  ASSERT_TRUE(report.ok) << report.error;
 
-  // The paper-semantics invariants: identical node stats (modulo wall
-  // times), catalog hit/miss counts, and peak memory.
-  EXPECT_EQ(stage.parallel_lanes, 1);
-  EXPECT_EQ(seq.peak_memory, stage.peak_memory);
-  EXPECT_EQ(seq.catalog_hits, stage.catalog_hits);
-  EXPECT_EQ(seq.catalog_misses, stage.catalog_misses);
-  ASSERT_EQ(seq.nodes.size(), stage.nodes.size());
-  for (std::size_t i = 0; i < seq.nodes.size(); ++i) {
-    EXPECT_EQ(seq.nodes[i].name, stage.nodes[i].name);
-    EXPECT_EQ(seq.nodes[i].output_bytes, stage.nodes[i].output_bytes);
-    EXPECT_EQ(seq.nodes[i].output_rows, stage.nodes[i].output_rows);
-    EXPECT_EQ(seq.nodes[i].output_in_memory,
-              stage.nodes[i].output_in_memory);
-    EXPECT_EQ(seq.nodes[i].stage, stage.nodes[i].stage);
+  // The paper's sequential Controller: every node runs on the
+  // coordinator and publishes at its plan-order slot, within budget,
+  // with no reservation backpressure to apply.
+  EXPECT_EQ(report.parallel_lanes, 1);
+  EXPECT_EQ(report.inlined_nodes,
+            static_cast<std::int64_t>(wl.graph.num_nodes()));
+  EXPECT_EQ(report.reserve_denials, 0);
+  EXPECT_GT(report.peak_memory, 0);
+  EXPECT_LE(report.peak_memory, budget);
+  EXPECT_EQ(PublishOrder(report), PlanOrder(wl, plan));
+  ExpectMvsMatch(wl, disk_ref, disk);
+}
+
+// A standalone 1-lane Controller hands no node to a lane, even on a
+// throttled disk where every node is estimated above the inline
+// threshold (the 2-lane control run inlines none of them). Its owned
+// pool carries only the Materializer drain: repeated runs start one
+// lane in total.
+TEST(StageRuntimeTest, OneLaneControllerRunsEveryNodeInlineOnOwnedPool) {
+  const auto data = TinyData();
+  workload::MvWorkload wl = workload::BuildIo1();
+  storage::DiskProfile throttled;
+  throttled.read_bw = 200e6;
+  throttled.write_bw = 200e6;
+  throttled.latency = 2e-3;
+
+  storage::ThrottledDisk disk_ref(FreshDir("own_noopt"), FastDisk());
+  RunNoOptReference(&disk_ref, data, wl);
+
+  storage::ThrottledDisk disk(FreshDir("own_one"), throttled);
+  Controller profiler(&disk, ControllerOptions{});
+  profiler.LoadBaseTables(data);
+  ASSERT_TRUE(profiler.ProfileAndAnnotate(&wl).ok);
+  const std::int64_t budget = 8LL * 1024 * 1024;
+  const auto plan = opt::Optimizer{}.Optimize(wl.graph, budget).plan;
+  ASSERT_FALSE(opt::FlaggedNodes(plan.flags).empty());
+  const auto num_nodes = static_cast<std::int64_t>(wl.graph.num_nodes());
+
+  ControllerOptions two_options;
+  two_options.budget = budget;
+  two_options.max_parallel_nodes = 2;
+  Controller two_lanes(&disk, two_options);
+  const RunReport control = two_lanes.Run(wl, plan);
+  ASSERT_TRUE(control.ok) << control.error;
+  ASSERT_EQ(control.parallel_lanes, 2);
+  ASSERT_EQ(control.inlined_nodes, 0);
+
+  ControllerOptions options;
+  options.budget = budget;
+  Controller controller(&disk, options);
+  ASSERT_EQ(controller.lane_pool().capacity(), 1);
+  for (int run = 0; run < 3; ++run) {
+    const RunReport report = controller.Run(wl, plan);
+    ASSERT_TRUE(report.ok) << report.error;
+    EXPECT_EQ(report.inlined_nodes, num_nodes) << run;
+    EXPECT_EQ(report.morsel_tasks, 0) << run;
+    EXPECT_EQ(PublishOrder(report), PlanOrder(wl, plan)) << run;
+    ExpectMvsMatch(wl, disk_ref, disk);
   }
-  for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
-    const std::string& name = wl.graph.node(v).name;
-    EXPECT_TRUE(disk_seq.ReadTable(name) == disk_stage.ReadTable(name))
-        << name;
-  }
+  EXPECT_GE(controller.lane_pool().threads_started(), 1);
+  EXPECT_LE(controller.lane_pool().threads_started(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -236,13 +325,8 @@ TEST(StageRuntimeTest, FourLanesProduceIdenticalMvsWithinBudget) {
   const std::int64_t budget = 16LL * 1024 * 1024;
   const auto plan = opt::Optimizer{}.Optimize(wl.graph, budget).plan;
 
-  storage::ThrottledDisk disk_seq(FreshDir("par_seq"), FastDisk());
-  ControllerOptions seq_options;
-  seq_options.budget = budget;
-  Controller sequential(&disk_seq, seq_options);
-  sequential.LoadBaseTables(data);
-  const RunReport seq = sequential.Run(wl, plan);
-  ASSERT_TRUE(seq.ok) << seq.error;
+  storage::ThrottledDisk disk_ref(FreshDir("par_noopt"), FastDisk());
+  RunNoOptReference(&disk_ref, data, wl);
 
   storage::ThrottledDisk disk_par(FreshDir("par_par"), FastDisk());
   ControllerOptions par_options;
@@ -258,11 +342,8 @@ TEST(StageRuntimeTest, FourLanesProduceIdenticalMvsWithinBudget) {
   EXPECT_LE(par.peak_memory, budget);
   ASSERT_EQ(par.nodes.size(),
             static_cast<std::size_t>(wl.graph.num_nodes()));
-  for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
-    const std::string& name = wl.graph.node(v).name;
-    EXPECT_TRUE(disk_seq.ReadTable(name) == disk_par.ReadTable(name))
-        << name;
-  }
+  EXPECT_EQ(PublishOrder(par), PlanOrder(wl, plan));
+  ExpectMvsMatch(wl, disk_ref, disk_par);
 }
 
 TEST(StageRuntimeTest, WideDagExecutesOnAllLanes) {
@@ -285,22 +366,17 @@ TEST(StageRuntimeTest, WideDagExecutesOnAllLanes) {
   }
 
   // The same run with one lane yields byte-identical MV contents.
-  storage::ThrottledDisk disk_seq(FreshDir("wide_seq"), FastDisk());
-  Controller sequential(&disk_seq, ControllerOptions{});
-  sequential.LoadBaseTables(data);
-  ASSERT_TRUE(sequential.RunUnoptimized(wl).ok);
-  for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
-    const std::string& name = wl.graph.node(v).name;
-    EXPECT_TRUE(disk.ReadTable(name) == disk_seq.ReadTable(name)) << name;
-  }
+  storage::ThrottledDisk disk_one(FreshDir("wide_one"), FastDisk());
+  RunNoOptReference(&disk_one, data, wl);
+  ExpectMvsMatch(wl, disk_one, disk);
 }
 
 // The relaxed publish protocol decouples dispatch from the in-order
-// residency replay; this asserts the replay is still exactly the
-// sequential Put / lazy-release sequence: node stats (deterministic
-// fields), catalog hit/miss counts, and peak memory are identical to the
-// sequential loop even at 4 lanes.
-TEST(StageRuntimeTest, FourLaneRelaxedPublishMatchesSequentialStats) {
+// residency replay; this asserts the replay is still exactly the 1-lane
+// Put / lazy-release sequence: node stats (deterministic fields), catalog
+// hit/miss counts, and peak memory are identical to the 1-lane run at 2
+// and 4 lanes.
+TEST(StageRuntimeTest, RelaxedPublishMatchesOneLaneStats) {
   const auto data = TinyData();
   workload::MvWorkload wl = workload::BuildIo1();
 
@@ -314,50 +390,38 @@ TEST(StageRuntimeTest, FourLaneRelaxedPublishMatchesSequentialStats) {
   const auto plan = opt::Optimizer{}.Optimize(wl.graph, budget).plan;
   ASSERT_FALSE(opt::FlaggedNodes(plan.flags).empty());
 
-  storage::ThrottledDisk disk_seq(FreshDir("relax_seq"), FastDisk());
-  ControllerOptions seq_options;
-  seq_options.budget = budget;
-  Controller sequential(&disk_seq, seq_options);
-  sequential.LoadBaseTables(data);
-  const RunReport seq = sequential.Run(wl, plan);
-  ASSERT_TRUE(seq.ok) << seq.error;
+  storage::ThrottledDisk disk_one(FreshDir("relax_one"), FastDisk());
+  ControllerOptions one_options;
+  one_options.budget = budget;
+  Controller one_lane(&disk_one, one_options);
+  one_lane.LoadBaseTables(data);
+  const RunReport one = one_lane.Run(wl, plan);
+  ASSERT_TRUE(one.ok) << one.error;
 
-  storage::ThrottledDisk disk_par(FreshDir("relax_par"), FastDisk());
-  ControllerOptions par_options;
-  par_options.budget = budget;
-  par_options.max_parallel_nodes = 4;
-  Controller parallel(&disk_par, par_options);
-  parallel.LoadBaseTables(data);
-  const RunReport par = parallel.Run(wl, plan);
-  ASSERT_TRUE(par.ok) << par.error;
+  for (const int lanes : {2, 4}) {
+    storage::ThrottledDisk disk_par(
+        FreshDir("relax_par" + std::to_string(lanes)), FastDisk());
+    ControllerOptions par_options;
+    par_options.budget = budget;
+    par_options.max_parallel_nodes = lanes;
+    Controller parallel(&disk_par, par_options);
+    parallel.LoadBaseTables(data);
+    const RunReport par = parallel.Run(wl, plan);
+    ASSERT_TRUE(par.ok) << par.error;
 
-  EXPECT_GT(par.parallel_lanes, 1);
-  EXPECT_EQ(seq.peak_memory, par.peak_memory);
-  EXPECT_EQ(seq.catalog_hits, par.catalog_hits);
-  EXPECT_EQ(seq.catalog_misses, par.catalog_misses);
-  ASSERT_EQ(seq.nodes.size(), par.nodes.size());
-  for (std::size_t i = 0; i < seq.nodes.size(); ++i) {
-    EXPECT_EQ(seq.nodes[i].name, par.nodes[i].name);  // publish order
-    EXPECT_EQ(seq.nodes[i].output_bytes, par.nodes[i].output_bytes);
-    EXPECT_EQ(seq.nodes[i].output_rows, par.nodes[i].output_rows);
-    EXPECT_EQ(seq.nodes[i].output_in_memory,
-              par.nodes[i].output_in_memory);
-    EXPECT_EQ(seq.nodes[i].stage, par.nodes[i].stage);
-  }
-  for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
-    const std::string& name = wl.graph.node(v).name;
-    EXPECT_TRUE(disk_seq.ReadTable(name) == disk_par.ReadTable(name))
-        << name;
+    EXPECT_GT(par.parallel_lanes, 1);
+    ExpectSameResidency(one, par, lanes);
+    ExpectMvsMatch(wl, disk_one, disk_par);
   }
 }
 
 // Inline small-node dispatch: nodes whose estimated cost falls below
 // ControllerOptions::inline_node_cost_seconds execute on the coordinator
-// thread instead of a LanePool lane. The sequential-equivalence contract
+// thread instead of a LanePool lane. Equivalence with the 1-lane run
 // must hold with the threshold active — identical node stats, catalog
-// hit/miss counts, peak memory, and MV bytes at 1 *and* 4 lanes — and
+// hit/miss counts, peak memory, and MV bytes at 2 and 4 lanes — and
 // RunReport must expose how many nodes were inlined.
-TEST(StageRuntimeTest, InlineDispatchKeepsSequentialEquivalence) {
+TEST(StageRuntimeTest, InlineDispatchKeepsOneLaneEquivalence) {
   const auto data = TinyData();
   workload::MvWorkload wl = workload::BuildIo1();
 
@@ -371,25 +435,27 @@ TEST(StageRuntimeTest, InlineDispatchKeepsSequentialEquivalence) {
   const auto plan = opt::Optimizer{}.Optimize(wl.graph, budget).plan;
   ASSERT_FALSE(opt::FlaggedNodes(plan.flags).empty());
 
-  // Baseline: the classic sequential loop (no lanes, nothing to inline).
-  storage::ThrottledDisk disk_seq(FreshDir("inline_seq"), FastDisk());
-  ControllerOptions seq_options;
-  seq_options.budget = budget;
-  Controller sequential(&disk_seq, seq_options);
-  sequential.LoadBaseTables(data);
-  const RunReport seq = sequential.Run(wl, plan);
-  ASSERT_TRUE(seq.ok) << seq.error;
-  EXPECT_EQ(seq.inlined_nodes, 0);
+  // Reference: one lane with inlining disabled — the coordinator still
+  // runs every node, since it is the run's only lane.
+  storage::ThrottledDisk disk_one(FreshDir("inline_one"), FastDisk());
+  ControllerOptions one_options;
+  one_options.budget = budget;
+  one_options.inline_node_cost_seconds = 0.0;
+  Controller one_lane(&disk_one, one_options);
+  one_lane.LoadBaseTables(data);
+  const RunReport one = one_lane.Run(wl, plan);
+  ASSERT_TRUE(one.ok) << one.error;
+  EXPECT_EQ(one.inlined_nodes,
+            static_cast<std::int64_t>(wl.graph.num_nodes()));
 
   // A threshold large enough that every profiled node qualifies; the
   // whole run executes inline on the coordinator at any lane count.
-  for (const int lanes : {1, 4}) {
+  for (const int lanes : {2, 4}) {
     storage::ThrottledDisk disk_par(
         FreshDir("inline_par" + std::to_string(lanes)), FastDisk());
     ControllerOptions par_options;
     par_options.budget = budget;
     par_options.max_parallel_nodes = lanes;
-    par_options.force_stage_runtime = true;
     par_options.inline_node_cost_seconds = 3600.0;
     Controller parallel(&disk_par, par_options);
     parallel.LoadBaseTables(data);
@@ -399,22 +465,8 @@ TEST(StageRuntimeTest, InlineDispatchKeepsSequentialEquivalence) {
     EXPECT_EQ(par.inlined_nodes,
               static_cast<std::int64_t>(wl.graph.num_nodes()))
         << lanes;
-    EXPECT_EQ(seq.peak_memory, par.peak_memory) << lanes;
-    EXPECT_EQ(seq.catalog_hits, par.catalog_hits) << lanes;
-    EXPECT_EQ(seq.catalog_misses, par.catalog_misses) << lanes;
-    ASSERT_EQ(seq.nodes.size(), par.nodes.size());
-    for (std::size_t i = 0; i < seq.nodes.size(); ++i) {
-      EXPECT_EQ(seq.nodes[i].name, par.nodes[i].name);  // publish order
-      EXPECT_EQ(seq.nodes[i].output_bytes, par.nodes[i].output_bytes);
-      EXPECT_EQ(seq.nodes[i].output_rows, par.nodes[i].output_rows);
-      EXPECT_EQ(seq.nodes[i].output_in_memory,
-                par.nodes[i].output_in_memory);
-    }
-    for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
-      const std::string& name = wl.graph.node(v).name;
-      EXPECT_TRUE(disk_seq.ReadTable(name) == disk_par.ReadTable(name))
-          << name;
-    }
+    ExpectSameResidency(one, par, lanes);
+    ExpectMvsMatch(wl, disk_one, disk_par);
   }
 }
 
@@ -422,29 +474,28 @@ TEST(StageRuntimeTest, InlineDispatchKeepsSequentialEquivalence) {
 // observable output: with interior fan-out forced on (tiny per-morsel
 // cost target, no row floor), publish order, per-node stats, and the
 // MV bytes written to disk are identical to a run with morsels disabled
-// — at 1 lane (fan-out degenerates to the sequential path) and at 4
-// lanes (joins and aggregates actually split). RunReport::morsel_tasks
+// — at 1 lane (the owned 1-lane pool caps fan-out at one morsel) and at
+// 4 lanes (joins and aggregates actually split). RunReport::morsel_tasks
 // must expose the fan-out at 4 lanes.
 TEST(StageRuntimeTest, MorselExecutionKeepsPublishOrderAndMvBytes) {
   const auto data = TinyData();
   workload::MvWorkload wl = workload::BuildIo1();
 
-  // Baseline: morsels disabled entirely (target 0), classic loop.
-  storage::ThrottledDisk disk_seq(FreshDir("morsel_seq"), FastDisk());
-  ControllerOptions seq_options;
-  seq_options.morsel_target_seconds = 0.0;
-  Controller sequential(&disk_seq, seq_options);
-  sequential.LoadBaseTables(data);
-  const RunReport seq = sequential.RunUnoptimized(wl);
-  ASSERT_TRUE(seq.ok) << seq.error;
-  EXPECT_EQ(seq.morsel_tasks, 0);
+  // Reference: No-opt at one lane with morsels disabled (target 0).
+  storage::ThrottledDisk disk_ref(FreshDir("morsel_ref"), FastDisk());
+  ControllerOptions ref_options;
+  ref_options.morsel_target_seconds = 0.0;
+  Controller reference(&disk_ref, ref_options);
+  reference.LoadBaseTables(data);
+  const RunReport ref = reference.RunUnoptimized(wl);
+  ASSERT_TRUE(ref.ok) << ref.error;
+  EXPECT_EQ(ref.morsel_tasks, 0);
 
   for (const int lanes : {1, 4}) {
     storage::ThrottledDisk disk_par(
         FreshDir("morsel_par" + std::to_string(lanes)), FastDisk());
     ControllerOptions par_options;
     par_options.max_parallel_nodes = lanes;
-    par_options.force_stage_runtime = true;
     // Every node overshoots a 1ns target, so each one gets the full
     // lane-capacity morsel budget; the row floor of 1 makes even the
     // tiny-scale tables split.
@@ -458,18 +509,14 @@ TEST(StageRuntimeTest, MorselExecutionKeepsPublishOrderAndMvBytes) {
     const RunReport par = parallel.RunUnoptimized(wl);
     ASSERT_TRUE(par.ok) << par.error;
 
-    ASSERT_EQ(seq.nodes.size(), par.nodes.size());
-    for (std::size_t i = 0; i < seq.nodes.size(); ++i) {
-      EXPECT_EQ(seq.nodes[i].name, par.nodes[i].name);  // publish order
-      EXPECT_EQ(seq.nodes[i].output_bytes, par.nodes[i].output_bytes);
-      EXPECT_EQ(seq.nodes[i].output_rows, par.nodes[i].output_rows);
+    ASSERT_EQ(ref.nodes.size(), par.nodes.size());
+    for (std::size_t i = 0; i < ref.nodes.size(); ++i) {
+      EXPECT_EQ(ref.nodes[i].name, par.nodes[i].name);  // publish order
+      EXPECT_EQ(ref.nodes[i].output_bytes, par.nodes[i].output_bytes);
+      EXPECT_EQ(ref.nodes[i].output_rows, par.nodes[i].output_rows);
     }
-    EXPECT_EQ(seq.peak_memory, par.peak_memory) << lanes;
-    for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
-      const std::string& name = wl.graph.node(v).name;
-      EXPECT_TRUE(disk_seq.ReadTable(name) == disk_par.ReadTable(name))
-          << name;
-    }
+    EXPECT_EQ(ref.peak_memory, par.peak_memory) << lanes;
+    ExpectMvsMatch(wl, disk_ref, disk_par);
     if (lanes > 1) {
       EXPECT_GT(par.morsel_tasks, 0) << lanes;
     } else {
@@ -616,8 +663,9 @@ TEST(MaterializerTest, ConcurrentEnqueueKeepsFifoAndDrainRacesClean) {
   constexpr int kPerThread = 16;
   std::vector<std::shared_future<void>> futures;  // global enqueue order
   std::mutex order_mutex;
+  LanePool pool(2);
   {
-    Materializer materializer(&disk);
+    Materializer materializer(&disk, pool);
     std::atomic<bool> stop{false};
     // A drainer racing the producers: Drain must never crash or wedge.
     std::thread drainer([&] {
