@@ -95,6 +95,10 @@ std::uint64_t Load64(const unsigned char* p) {
   return word;
 }
 
+__m128i Load128(const unsigned char* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
 /// Raw-register CRC using the crc32 instruction only. For state s and
 /// block D: state(s, D) = state(0, D) ^ Z(s) where Z appends |D| zero
 /// bytes, so three independently-hashed blocks fold as
@@ -176,11 +180,36 @@ struct FoldConstants {
   // Lane combine: X <- X * x^128 (16-byte shift).
   std::uint64_t k192 = FoldConstant(128 + 64 - 32);
   std::uint64_t k128 = FoldConstant(128 - 32);
+  // Wide path: X <- X * x^2048 (256-byte stride) and X <- X * x^512
+  // (64-byte accumulator combine).
+  std::uint64_t k2112 = FoldConstant(2048 + 64 - 32);
+  std::uint64_t k2048 = FoldConstant(2048 - 32);
+  std::uint64_t k576 = FoldConstant(512 + 64 - 32);
+  std::uint64_t k512 = FoldConstant(512 - 32);
 };
 
 const FoldConstants& fold_constants() {
   static const FoldConstants instance;
   return instance;
+}
+
+/// Reduces a 128-bit fold remainder to the raw CRC register by running
+/// its 16 bytes through the crc32 instruction from a zero state: the
+/// result equals the register of the whole folded region processed
+/// alone.
+__attribute__((target("sse4.2"))) std::uint32_t ReduceRemainder(__m128i x) {
+  alignas(16) std::uint64_t xw[2];
+  _mm_store_si128(reinterpret_cast<__m128i*>(xw), x);
+  return static_cast<std::uint32_t>(
+      _mm_crc32_u64(_mm_crc32_u64(0, xw[0]), xw[1]));
+}
+
+/// One fold step: X * x^n + data, for the constant pair of shift n.
+__attribute__((target("pclmul"))) __m128i Fold128(__m128i x, __m128i k,
+                                                  __m128i data) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       data);
 }
 
 __attribute__((target("sse4.2,pclmul"))) std::uint32_t Crc32cHybrid(
@@ -221,47 +250,18 @@ __attribute__((target("sse4.2,pclmul"))) std::uint32_t Crc32cHybrid(
       q2 = _mm_crc32_u64(q2, Load64(q2p + i + 24));
       // Six pclmul fold lanes, 16 bytes each (96-byte stride per lane).
       const unsigned char* chunk = pp + 3 * i;
-      x0 = _mm_xor_si128(
-          _mm_xor_si128(_mm_clmulepi64_si128(x0, kfold, 0x00),
-                        _mm_clmulepi64_si128(x0, kfold, 0x11)),
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(chunk)));
-      x1 = _mm_xor_si128(
-          _mm_xor_si128(_mm_clmulepi64_si128(x1, kfold, 0x00),
-                        _mm_clmulepi64_si128(x1, kfold, 0x11)),
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(chunk + 16)));
-      x2 = _mm_xor_si128(
-          _mm_xor_si128(_mm_clmulepi64_si128(x2, kfold, 0x00),
-                        _mm_clmulepi64_si128(x2, kfold, 0x11)),
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(chunk + 32)));
-      x3 = _mm_xor_si128(
-          _mm_xor_si128(_mm_clmulepi64_si128(x3, kfold, 0x00),
-                        _mm_clmulepi64_si128(x3, kfold, 0x11)),
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(chunk + 48)));
-      x4 = _mm_xor_si128(
-          _mm_xor_si128(_mm_clmulepi64_si128(x4, kfold, 0x00),
-                        _mm_clmulepi64_si128(x4, kfold, 0x11)),
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(chunk + 64)));
-      x5 = _mm_xor_si128(
-          _mm_xor_si128(_mm_clmulepi64_si128(x5, kfold, 0x00),
-                        _mm_clmulepi64_si128(x5, kfold, 0x11)),
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(chunk + 80)));
+      x0 = Fold128(x0, kfold, Load128(chunk));
+      x1 = Fold128(x1, kfold, Load128(chunk + 16));
+      x2 = Fold128(x2, kfold, Load128(chunk + 32));
+      x3 = Fold128(x3, kfold, Load128(chunk + 48));
+      x4 = Fold128(x4, kfold, Load128(chunk + 64));
+      x5 = Fold128(x5, kfold, Load128(chunk + 80));
     }
     // Combine the six lanes: P == sum_j X_j * x^(128 * (5 - j)) mod P.
     __m128i x = x0;
     const __m128i lanes[5] = {x1, x2, x3, x4, x5};
-    for (const __m128i& lane : lanes) {
-      x = _mm_xor_si128(
-          _mm_xor_si128(_mm_clmulepi64_si128(x, kcomb, 0x00),
-                        _mm_clmulepi64_si128(x, kcomb, 0x11)),
-          lane);
-    }
-    // Reduce the 128-bit remainder by running its 16 bytes through the
-    // crc32 instruction from a zero state: the result equals the raw
-    // CRC register of the whole P region processed alone.
-    alignas(16) std::uint64_t xw[2];
-    _mm_store_si128(reinterpret_cast<__m128i*>(xw), x);
-    const std::uint32_t t = static_cast<std::uint32_t>(
-        _mm_crc32_u64(_mm_crc32_u64(0, xw[0]), xw[1]));
+    for (const __m128i& lane : lanes) x = Fold128(x, kcomb, lane);
+    const std::uint32_t t = ReduceRemainder(x);
     // Stitch the four regions: total = Z3B(ZB(ZB(q0) ^ q1) ^ q2) ^ t.
     std::uint32_t s =
         st.Shift(static_cast<std::uint32_t>(q0)) ^
@@ -273,6 +273,76 @@ __attribute__((target("sse4.2,pclmul"))) std::uint32_t Crc32cHybrid(
     size -= kSuperBlock;
   }
   return Crc32cChains(p, size, crc);
+}
+
+// Wide path (AVX-512 + VPCLMULQDQ): four 512-bit accumulators, each
+// four 128-bit fold lanes that one vpclmulqdq advances together, so a
+// 256-byte iteration costs eight carry-less multiplies — over twice the
+// hybrid path's rate on cache-resident data. The accumulators and then
+// their lanes are combined as in the hybrid path.
+constexpr std::size_t kWideStride = 256;
+constexpr std::size_t kWideMin = 4 * kWideStride;
+
+__attribute__((target("avx512f,vpclmulqdq"))) __m512i Fold512(__m512i x,
+                                                              __m512i k,
+                                                              __m512i data) {
+  // 0x96: three-way XOR.
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(x, k, 0x00),
+                                   _mm512_clmulepi64_epi128(x, k, 0x11),
+                                   data, 0x96);
+}
+
+/// Requires size >= kWideStride. For the raw register, processing D
+/// from state s equals processing D with s XORed into its first four
+/// bytes from state zero, so the incoming register joins the first
+/// load.
+__attribute__((target("avx512f,vpclmulqdq,pclmul,sse4.2")))
+std::uint32_t Crc32cWide(const unsigned char* p, std::size_t size,
+                         std::uint32_t crc) {
+  const FoldConstants& fc = fold_constants();
+  const auto ll = [](std::uint64_t k) { return static_cast<long long>(k); };
+  const __m512i kstride =
+      _mm512_set_epi64(ll(fc.k2048), ll(fc.k2112), ll(fc.k2048),
+                       ll(fc.k2112), ll(fc.k2048), ll(fc.k2112),
+                       ll(fc.k2048), ll(fc.k2112));
+  const __m512i kblock =
+      _mm512_set_epi64(ll(fc.k512), ll(fc.k576), ll(fc.k512), ll(fc.k576),
+                       ll(fc.k512), ll(fc.k576), ll(fc.k512), ll(fc.k576));
+  const __m128i kcomb = _mm_set_epi64x(static_cast<long long>(fc.k128),
+                                       static_cast<long long>(fc.k192));
+  __m512i x0 = _mm512_xor_si512(
+      _mm512_loadu_si512(p),
+      _mm512_inserti32x4(_mm512_setzero_si512(),
+                         _mm_cvtsi32_si128(static_cast<int>(crc)), 0));
+  __m512i x1 = _mm512_loadu_si512(p + 64);
+  __m512i x2 = _mm512_loadu_si512(p + 128);
+  __m512i x3 = _mm512_loadu_si512(p + 192);
+  p += kWideStride;
+  size -= kWideStride;
+  while (size >= kWideStride) {
+    x0 = Fold512(x0, kstride, _mm512_loadu_si512(p));
+    x1 = Fold512(x1, kstride, _mm512_loadu_si512(p + 64));
+    x2 = Fold512(x2, kstride, _mm512_loadu_si512(p + 128));
+    x3 = Fold512(x3, kstride, _mm512_loadu_si512(p + 192));
+    p += kWideStride;
+    size -= kWideStride;
+  }
+  x1 = Fold512(x0, kblock, x1);
+  x2 = Fold512(x1, kblock, x2);
+  x3 = Fold512(x2, kblock, x3);
+  alignas(64) __m128i lanes[4];
+  _mm512_store_si512(lanes, x3);
+  __m128i x = lanes[0];
+  for (int i = 1; i < 4; ++i) x = Fold128(x, kcomb, lanes[i]);
+  return Crc32cChains(p, size, ReduceRemainder(x));
+}
+
+bool HasVpclmul() {
+  static const bool has = __builtin_cpu_supports("sse4.2") &&
+                          __builtin_cpu_supports("pclmul") &&
+                          __builtin_cpu_supports("avx512f") &&
+                          __builtin_cpu_supports("vpclmulqdq");
+  return has;
 }
 
 bool HasSse42() {
@@ -294,6 +364,7 @@ std::uint32_t Crc32c(const void* data, std::size_t size,
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t crc = ~seed;
 #if defined(SC_CRC32C_HW)
+  if (size >= kWideMin && HasVpclmul()) return ~Crc32cWide(p, size, crc);
   if (size >= kSuperBlock && HasPclmul()) return ~Crc32cHybrid(p, size, crc);
   if (HasSse42()) return ~Crc32cChains(p, size, crc);
 #endif

@@ -8,9 +8,11 @@ namespace sc::common {
 
 /// CRC-32C (Castagnoli polynomial 0x1EDC6F41, reflected), the checksum
 /// the storage formats use for per-block and whole-file integrity.
-/// Dispatches at runtime to a three-way-interleaved SSE4.2 crc32
-/// implementation on x86-64 (multiple GB/s, so verified reads stay
-/// within a few percent of unverified parsing — the CI overhead gate in
+/// Dispatches at runtime on x86-64: a 512-bit carry-less-multiply fold
+/// (AVX-512 + VPCLMULQDQ) for buffers of 1 KB and up, else a hybrid
+/// crc32 + pclmul kernel for 24 KB and up, else three-way-interleaved
+/// SSE4.2 crc32 chains (tens of GB/s, so verified reads stay within a
+/// few percent of unverified parsing — the CI overhead gate in
 /// bench_service_throughput holds it to 5%), with a portable software
 /// slicing-by-8 fallback.
 ///

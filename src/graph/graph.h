@@ -27,11 +27,21 @@ struct NodeInfo {
   double compute_seconds = 0.0;
   /// Bytes read from base tables (inputs that are not parent MVs).
   std::int64_t base_input_bytes = 0;
+  /// Bytes of the node's output file on external storage, which the
+  /// disk's reads and writes are charged for (profiled). 0 means unknown:
+  /// disk costs then fall back to `size_bytes` (see DiskBytes).
+  std::int64_t disk_bytes = 0;
   /// Relative number of files/partitions this MV materializes into
   /// (scales the per-table open/commit overheads of the cost model;
   /// larger tables split into more files on warehouse storage).
   double file_count = 1.0;
 };
+
+/// Bytes a disk read or write of the node's output moves: the profiled
+/// file size when known, else the in-memory size.
+inline std::int64_t DiskBytes(const NodeInfo& info) {
+  return info.disk_bytes > 0 ? info.disk_bytes : info.size_bytes;
+}
 
 /// Directed acyclic dependency graph of an MV refresh run (paper §IV).
 ///

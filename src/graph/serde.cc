@@ -15,7 +15,7 @@ std::string Serialize(const Graph& g) {
     const NodeInfo& n = g.node(i);
     out << "node " << n.name << ' ' << n.size_bytes << ' ' << n.speedup_score
         << ' ' << n.compute_seconds << ' ' << n.base_input_bytes << ' '
-        << n.file_count << '\n';
+        << n.file_count << ' ' << n.disk_bytes << '\n';
   }
   for (NodeId i = 0; i < g.num_nodes(); ++i) {
     for (NodeId c : g.children(i)) {
@@ -49,7 +49,8 @@ bool Deserialize(const std::string& text, Graph* g, std::string* error) {
       if (info.name.empty()) return fail("node line missing name");
       // Optional numeric fields.
       fields >> info.size_bytes >> info.speedup_score >>
-          info.compute_seconds >> info.base_input_bytes >> info.file_count;
+          info.compute_seconds >> info.base_input_bytes >> info.file_count >>
+          info.disk_bytes;
       if (info.file_count <= 0) info.file_count = 1.0;
       if (g->FindByName(info.name).has_value()) {
         return fail("duplicate node '" + info.name + "'");

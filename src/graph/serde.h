@@ -13,9 +13,10 @@ namespace sc::graph {
 ///
 ///   # comment
 ///   node <name> <size_bytes> <speedup_score> <compute_seconds> <input_bytes>
+///        <file_count> <disk_bytes>
 ///   edge <from_name> <to_name>
 ///
-/// Fields after <name> are optional (default 0). Unknown directives are an
+/// Fields after <name> are optional (default 0; file_count defaults to 1). Unknown directives are an
 /// error. Edge lines must refer to previously declared nodes.
 
 /// Serializes `g` into the text format.

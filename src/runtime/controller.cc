@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -311,30 +312,36 @@ struct NodeResult {
   bool reused_durable = false;
 };
 
-/// Compressed columnar residency (ControllerOptions::compress_residency):
-/// dictionary-encodes the plain string columns of a node output before
-/// it enters residency accounting, keeping an encoding only when it is
-/// actually smaller (an all-unique column stays plain). Downstream
-/// consumers see the same logical values — operators, Table::operator==,
-/// and the SCT1 disk format are representation-agnostic — while ByteSize
-/// drops, so budgets, grants, and profiled output sizes all shrink.
-engine::TablePtr CompressResidency(engine::TablePtr table) {
+/// Residency representation (ControllerOptions::compress_residency) of
+/// a node output before it enters residency accounting. Compressed:
+/// plain string columns are dictionary-encoded, keeping an encoding only
+/// when it is actually smaller (an all-unique column stays plain).
+/// Plain: dictionary columns — e.g. strings read back from disk — are
+/// decoded. Downstream consumers see the same logical values — operators
+/// and Table::operator== are representation-agnostic — while ByteSize,
+/// hence budgets, grants, and profiled output sizes, follow the choice.
+engine::TablePtr ResidencyRepresentation(engine::TablePtr table,
+                                         bool compress) {
+  auto convertible = [compress](const engine::Column& col) {
+    return col.type() == engine::DataType::kString &&
+           col.dictionary_encoded() != compress;
+  };
   bool candidate = false;
   for (std::size_t i = 0; i < table->num_columns(); ++i) {
-    const engine::Column& col = table->column(i);
-    if (col.type() == engine::DataType::kString &&
-        !col.dictionary_encoded()) {
+    if (convertible(table->column(i))) {
       candidate = true;
       break;
     }
   }
   if (!candidate) return table;
-  auto compressed = std::make_shared<engine::Table>(*table);
+  auto converted = std::make_shared<engine::Table>(*table);
   bool changed = false;
-  for (std::size_t i = 0; i < compressed->num_columns(); ++i) {
-    engine::Column& col = compressed->mutable_column(i);
-    if (col.type() != engine::DataType::kString ||
-        col.dictionary_encoded()) {
+  for (std::size_t i = 0; i < converted->num_columns(); ++i) {
+    engine::Column& col = converted->mutable_column(i);
+    if (!convertible(col)) continue;
+    if (!compress) {
+      col = col.DecodeDictionary();
+      changed = true;
       continue;
     }
     engine::Column encoded = col.DictionaryEncode();
@@ -343,7 +350,7 @@ engine::TablePtr CompressResidency(engine::TablePtr table) {
       changed = true;
     }
   }
-  return changed ? std::move(compressed) : std::move(table);
+  return changed ? std::move(converted) : std::move(table);
 }
 
 /// Executes node `v`'s plan, resolving inputs through the Memory Catalog
@@ -473,9 +480,8 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
         result.output = std::make_shared<engine::Table>(
             engine::ExecutePlan(*s.wl.plans[v], resolver));
       }
-      if (s.options.compress_residency) {
-        result.output = CompressResidency(std::move(result.output));
-      }
+      result.output = ResidencyRepresentation(
+          std::move(result.output), s.options.compress_residency);
       const double exec_seconds = MonotonicSeconds() - exec_start;
       stats.read_seconds = read_seconds;
       stats.compute_seconds = std::max(0.0, exec_seconds - read_seconds);
@@ -989,24 +995,33 @@ RunReport Controller::RunUnoptimized(const workload::MvWorkload& wl) {
 RunReport Controller::ProfileAndAnnotate(workload::MvWorkload* wl) {
   RunReport report = RunUnoptimized(*wl);
   if (!report.ok) return report;
+  // The unoptimized run wrote every MV: record the on-disk sizes first,
+  // so each node's parents are known below regardless of report order.
+  for (const NodeRunStats& stats : report.nodes) {
+    auto id = wl->graph.FindByName(stats.name);
+    wl->graph.mutable_node(*id).disk_bytes =
+        std::max<std::int64_t>(0, disk_->FileSize(stats.name));
+  }
   for (std::size_t i = 0; i < report.nodes.size(); ++i) {
     const NodeRunStats& stats = report.nodes[i];
     auto id = wl->graph.FindByName(stats.name);
     graph::NodeInfo& info = wl->graph.mutable_node(*id);
     info.size_bytes = stats.output_bytes;
     info.compute_seconds = stats.compute_seconds;
-    // Approximate base input volume from observed read time and the disk
-    // profile (reads of parent MVs are also disk reads in the unoptimized
-    // run; subtract their known sizes).
+    // Approximate base input volume by inverting the simulator's read
+    // model over the observed read time: in the unoptimized run every
+    // parent MV is a disk read of its file (one access latency plus its
+    // on-disk bytes), and the base tables cost one more access latency
+    // plus base_input_bytes.
     const double bw = disk_->profile().read_bw;
-    std::int64_t parent_bytes = 0;
+    const double latency = disk_->profile().latency;
+    double base_seconds = stats.read_seconds - latency;
     for (graph::NodeId p : wl->graph.parents(*id)) {
-      parent_bytes += wl->graph.node(p).size_bytes;
+      base_seconds -=
+          latency + static_cast<double>(wl->graph.node(p).disk_bytes) / bw;
     }
-    const std::int64_t observed = static_cast<std::int64_t>(
-        stats.read_seconds * bw);
-    info.base_input_bytes = std::max<std::int64_t>(0,
-                                                   observed - parent_bytes);
+    info.base_input_bytes =
+        std::max<std::int64_t>(0, std::llround(base_seconds * bw));
   }
   cost::DeviceProfile profile;
   profile.disk_read_bw = disk_->profile().read_bw;

@@ -173,12 +173,15 @@ struct ControllerOptions {
   /// columns dictionary-encoded (engine::Column::DictionaryEncode)
   /// before they enter residency accounting, whenever the encoding is
   /// actually smaller (all-unique strings stay plain). Representation is
-  /// invisible to consumers — Table::operator== and the SCT1 disk format
-  /// are representation-agnostic, and every operator accepts encoded
-  /// inputs — but the smaller ByteSize is what the Memory Catalog, the
-  /// cross-job SharedCatalog, and the profiled NodeScale (hence the
-  /// knapsack optimizer) see, so string-heavy workloads pack more MVs
-  /// per byte of budget. Off reproduces the pre-compression footprints.
+  /// invisible to consumers — Table::operator== is
+  /// representation-agnostic, every operator accepts encoded inputs, and
+  /// the disk always stores strings dictionary-encoded — but the smaller
+  /// ByteSize is what the Memory Catalog, the cross-job SharedCatalog,
+  /// and the profiled NodeScale (hence the knapsack optimizer) see, so
+  /// string-heavy workloads pack more MVs per byte of budget. Off
+  /// decodes every string column of a node output to plain (including
+  /// the dictionary columns disk reads return), reproducing the
+  /// pre-compression footprints.
   bool compress_residency = true;
   /// Applies the opt::WidenStagesPrefix post-pass to the plan before
   /// executing: reorders the total order stage-major among

@@ -67,9 +67,9 @@ RunResult SimulateLruBaseline(const graph::Graph& g, std::int64_t cache_bytes,
       if (cache.Lookup(p)) {
         read_seconds += model.MemReadSeconds(bytes);
       } else {
-        read_seconds +=
-            model.DiskReadSeconds(bytes, g.node(p).file_count) /
-            options.io_scale;
+        read_seconds += model.DiskReadSeconds(graph::DiskBytes(g.node(p)),
+                                              g.node(p).file_count) /
+                        options.io_scale;
         cache.Insert(p, bytes);
       }
     }
@@ -88,7 +88,8 @@ RunResult SimulateLruBaseline(const graph::Graph& g, std::int64_t cache_bytes,
     // Writes always block (the cache does not short-circuit persistence),
     // but the fresh result lands in the cache for downstream readers.
     const double write_seconds =
-        model.DiskWriteSeconds(g.node(v).size_bytes, g.node(v).file_count) /
+        model.DiskWriteSeconds(graph::DiskBytes(g.node(v)),
+                               g.node(v).file_count) /
         options.io_scale;
     now += write_seconds;
     timing.write_seconds = write_seconds;

@@ -100,13 +100,13 @@ RunResult SimulateRun(const graph::Graph& g, const opt::Plan& plan,
     // ---- Read phase: parents, then base-table inputs. ----
     double read_seconds = 0.0;
     for (graph::NodeId p : g.parents(v)) {
-      const std::int64_t bytes = g.node(p).size_bytes;
       if (resident[p]) {
-        read_seconds += costs.MemRead(bytes);
+        read_seconds += costs.MemRead(g.node(p).size_bytes);
       } else {
         // The parent is on disk: unflagged parents wrote synchronously and
         // flagged parents are only released after materialization.
-        read_seconds += costs.DiskRead(bytes, g.node(p).file_count);
+        read_seconds += costs.DiskRead(graph::DiskBytes(g.node(p)),
+                                       g.node(p).file_count);
       }
     }
     read_seconds +=
@@ -119,8 +119,10 @@ RunResult SimulateRun(const graph::Graph& g, const opt::Plan& plan,
     now += compute_seconds;
     timing.compute_seconds = compute_seconds;
 
-    // ---- Output phase. ----
+    // ---- Output phase: memory costs on the in-memory size, disk
+    // costs on the file size. ----
     const std::int64_t out_bytes = g.node(v).size_bytes;
+    const std::int64_t disk_bytes = graph::DiskBytes(g.node(v));
     if (plan.flags[v]) {
       // Create in the Memory Catalog, releasing finished entries first.
       make_room(out_bytes);
@@ -134,11 +136,11 @@ RunResult SimulateRun(const graph::Graph& g, const opt::Plan& plan,
       if (memory_used > options.budget) result.exceeded_budget = true;
       // Materialize through the write channel; overhead overlaps.
       const double channel_done =
-          write_channel.Submit(now, costs.DiskWriteChannel(out_bytes));
+          write_channel.Submit(now, costs.DiskWriteChannel(disk_bytes));
       if (options.background_materialize) {
-        materialized_at[v] = channel_done + costs.WriteOverhead(out_bytes, g.node(v).file_count);
+        materialized_at[v] = channel_done + costs.WriteOverhead(disk_bytes, g.node(v).file_count);
       } else {
-        now = channel_done + costs.WriteOverhead(out_bytes, g.node(v).file_count);
+        now = channel_done + costs.WriteOverhead(disk_bytes, g.node(v).file_count);
         materialized_at[v] = now;
         timing.write_seconds += now - timing.start - read_seconds -
                                 compute_seconds - create_seconds;
@@ -147,8 +149,8 @@ RunResult SimulateRun(const graph::Graph& g, const opt::Plan& plan,
       // Blocking write: queue behind in-flight background writes, then pay
       // the full per-table overhead.
       const double channel_done =
-          write_channel.Submit(now, costs.DiskWriteChannel(out_bytes));
-      const double done = channel_done + costs.WriteOverhead(out_bytes, g.node(v).file_count);
+          write_channel.Submit(now, costs.DiskWriteChannel(disk_bytes));
+      const double done = channel_done + costs.WriteOverhead(disk_bytes, g.node(v).file_count);
       timing.write_seconds = done - now;
       now = done;
       materialized_at[v] = now;

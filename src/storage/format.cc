@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "common/crc32c.h"
@@ -13,12 +14,10 @@ namespace sc::storage {
 
 namespace {
 
-constexpr char kMagic[4] = {'S', 'C', 'T', '1'};
-constexpr char kMagicCompressed[4] = {'S', 'C', 'C', '1'};
-constexpr char kFooterMagic[4] = {'S', 'C', 'T', 'F'};
-constexpr char kFooterMagicCompressed[4] = {'S', 'C', 'C', 'F'};
+constexpr char kMagic[4] = {'S', 'C', 'C', '1'};
+constexpr char kFooterMagic[4] = {'S', 'C', 'C', 'F'};
 
-// SCC1 per-column encodings (the u8 after the type byte).
+// Per-column encodings (the u8 after the type byte).
 constexpr std::uint8_t kEncRaw = 0;
 constexpr std::uint8_t kEncForVarint = 1;
 constexpr std::uint8_t kEncDict = 2;
@@ -36,14 +35,11 @@ constexpr std::uint32_t kMaxNameLen = 1u << 16;
 // of over-allocation.
 constexpr std::uint64_t kReadChunk = 4u << 20;
 
-// Footer size: u64 num_rows + u32 num_cols + u32 file_crc + 4-byte end
-// marker.
-constexpr std::int64_t kFooterBytes = 8 + 4 + 4 + 4;
-
-template <typename T>
-void AppendRaw(std::string* buf, const T& value) {
-  buf->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
+// Payload bytes are read in slices of this size, each checksummed (when
+// verifying) right after it lands, while it is still in cache: a
+// separate CRC pass over a multi-megabyte payload would stream it from
+// memory a second time, at a fraction of the CRC kernel's speed.
+constexpr std::size_t kReadSlice = 256u << 10;
 
 /// Write-side stream wrapper: every metadata byte written is folded into
 /// the running whole-file CRC32C, so the footer checksum seals the
@@ -91,8 +87,7 @@ class CrcSink {
 /// CorruptFileError — a short read is indistinguishable from truncation.
 class CrcSource {
  public:
-  CrcSource(std::istream& in, bool verify, const char* format)
-      : in_(in), verify_(verify), format_(format) {}
+  CrcSource(std::istream& in, bool verify) : in_(in), verify_(verify) {}
 
   void Read(void* data, std::size_t size, const char* what) {
     in_.read(static_cast<char*>(data),
@@ -121,22 +116,30 @@ class CrcSource {
 
   /// ReadBlob minus the file-checksum fold: column payloads are verified
   /// against their own per-column checksum (one CRC pass per byte), and
-  /// the file checksum seals that checksum word instead.
-  std::string ReadPayloadBlob(std::uint64_t size, const char* what) {
+  /// the file checksum seals that checksum word instead. A non-null
+  /// `payload_crc` receives the payload's CRC32C.
+  std::string ReadPayloadBlob(std::uint64_t size, const char* what,
+                              std::uint32_t* payload_crc = nullptr) {
     std::string buf;
     while (buf.size() < size) {
       const std::uint64_t step =
           std::min<std::uint64_t>(kReadChunk, size - buf.size());
       const std::size_t old = buf.size();
       buf.resize(old + static_cast<std::size_t>(step));
-      in_.read(buf.data() + old, static_cast<std::streamsize>(step));
-      if (!in_) Fail(what);
+      for (std::size_t pos = old; pos < buf.size(); pos += kReadSlice) {
+        const std::size_t n = std::min(kReadSlice, buf.size() - pos);
+        in_.read(buf.data() + pos, static_cast<std::streamsize>(n));
+        if (!in_) Fail(what);
+        if (payload_crc != nullptr) {
+          *payload_crc = common::Crc32c(buf.data() + pos, n, *payload_crc);
+        }
+      }
     }
     return buf;
   }
 
   [[noreturn]] void Fail(const char* what) const {
-    throw CorruptFileError(std::string(format_) + ": truncated " + what);
+    throw CorruptFileError(std::string("SCC1: truncated ") + what);
   }
 
   /// Folds bytes consumed outside Read (the magic, matched raw) into the
@@ -148,24 +151,22 @@ class CrcSource {
   bool verify() const { return verify_; }
   std::uint32_t crc() const { return crc_; }
   std::istream& stream() { return in_; }
-  const char* format() const { return format_; }
 
  private:
   std::istream& in_;
   const bool verify_;
-  const char* format_;
   std::uint32_t crc_ = 0;
 };
 
 void WriteFooter(CrcSink& sink, std::uint64_t num_rows,
-                 std::uint32_t num_cols, const char magic[4]) {
+                 std::uint32_t num_cols) {
   // The footer itself is excluded from the file checksum (it contains
   // it); capture before writing.
   const std::uint32_t file_crc = sink.crc();
   sink.WriteRaw<std::uint64_t>(num_rows);
   sink.WriteRaw<std::uint32_t>(num_cols);
   sink.WriteRaw<std::uint32_t>(file_crc);
-  sink.Write(magic, 4);
+  sink.Write(kFooterMagic, sizeof(kFooterMagic));
 }
 
 /// Footer validation runs in both modes: the row/column cross-check and
@@ -173,7 +174,7 @@ void WriteFooter(CrcSink& sink, std::uint64_t num_rows,
 /// without checksum arithmetic; the file CRC comparison is gated on
 /// verify.
 void ReadFooter(CrcSource& source, std::uint64_t num_rows,
-                std::uint32_t num_cols, const char magic[4]) {
+                std::uint32_t num_cols) {
   const std::uint32_t computed = source.crc();
   std::istream& in = source.stream();
   std::uint64_t footer_rows = 0;
@@ -185,22 +186,19 @@ void ReadFooter(CrcSource& source, std::uint64_t num_rows,
   in.read(reinterpret_cast<char*>(&file_crc), sizeof(file_crc));
   in.read(tail, sizeof(tail));
   if (!in) source.Fail("footer");
-  if (std::memcmp(tail, magic, 4) != 0) {
-    throw CorruptFileError(std::string(source.format()) +
-                           ": bad footer marker");
+  if (std::memcmp(tail, kFooterMagic, sizeof(kFooterMagic)) != 0) {
+    throw CorruptFileError("SCC1: bad footer marker");
   }
   if (footer_rows != num_rows || footer_cols != num_cols) {
-    throw CorruptFileError(std::string(source.format()) +
-                           ": footer row/column mismatch");
+    throw CorruptFileError("SCC1: footer row/column mismatch");
   }
   if (source.verify() && file_crc != computed) {
-    throw CorruptFileError(std::string(source.format()) +
-                           ": file checksum mismatch");
+    throw CorruptFileError("SCC1: file checksum mismatch");
   }
 }
 
 /// Writes one column's buffered payload with its length prefix and
-/// CRC32C trailer — the per-block integrity unit of both formats.
+/// CRC32C trailer — the per-block integrity unit of the format.
 void WriteColumnPayload(CrcSink& sink, const std::string& buf) {
   sink.WriteRaw<std::uint64_t>(static_cast<std::uint64_t>(buf.size()));
   sink.WriteUnfolded(buf.data(), buf.size());
@@ -211,28 +209,52 @@ void WriteColumnPayload(CrcSink& sink, const std::string& buf) {
 /// source does.
 std::string ReadColumnPayload(CrcSource& source) {
   const auto payload_len = source.ReadRaw<std::uint64_t>("payload length");
-  std::string buf = source.ReadPayloadBlob(payload_len, "column payload");
+  std::uint32_t computed = 0;
+  std::string buf = source.ReadPayloadBlob(
+      payload_len, "column payload", source.verify() ? &computed : nullptr);
   const auto stored = source.ReadRaw<std::uint32_t>("column checksum");
-  if (source.verify() &&
-      stored != common::Crc32c(buf.data(), buf.size())) {
-    throw CorruptFileError(std::string(source.format()) +
-                           ": column checksum mismatch");
+  if (source.verify() && stored != computed) {
+    throw CorruptFileError("SCC1: column checksum mismatch");
   }
   return buf;
 }
 
 // LEB128 varints, buffered into `buf` (one buffer per column payload —
-// spill writes go through the stream once, not byte-at-a-time).
-void PutVarint(std::string* buf, std::uint64_t v) {
+// writes go through the stream once, not byte-at-a-time).
+constexpr std::size_t kMaxVarintBytes = 10;
+
+char* PutVarint(char* out, std::uint64_t v) {
   while (v >= 0x80) {
-    buf->push_back(static_cast<char>((v & 0x7f) | 0x80));
+    *out++ = static_cast<char>((v & 0x7f) | 0x80);
     v >>= 7;
   }
-  buf->push_back(static_cast<char>(v));
+  *out++ = static_cast<char>(v);
+  return out;
+}
+
+void PutVarint(std::string* buf, std::uint64_t v) {
+  char bytes[kMaxVarintBytes];
+  buf->append(bytes, static_cast<std::size_t>(PutVarint(bytes, v) - bytes));
+}
+
+/// Appends the varints of value(0..count): sized once for the worst
+/// case and written through a cursor, not grown byte by byte.
+template <typename ValueFn>
+void PutVarints(std::string* buf, std::size_t count, ValueFn&& value) {
+  const std::size_t start = buf->size();
+  buf->resize(start + count * kMaxVarintBytes);
+  char* out = buf->data() + start;
+  for (std::size_t i = 0; i < count; ++i) out = PutVarint(out, value(i));
+  buf->resize(static_cast<std::size_t>(out - buf->data()));
 }
 
 std::uint64_t GetVarint(const char* data, std::size_t size,
                         std::size_t* pos) {
+  // One-byte values (dictionary codes, small frame deltas) are the
+  // common case.
+  if (*pos < size && (static_cast<std::uint8_t>(data[*pos]) & 0x80) == 0) {
+    return static_cast<std::uint8_t>(data[(*pos)++]);
+  }
   std::uint64_t v = 0;
   int shift = 0;
   while (true) {
@@ -267,14 +289,12 @@ ColumnHeader ReadColumnHeader(CrcSource& source) {
   ColumnHeader header;
   const auto name_len = source.ReadRaw<std::uint32_t>("column name length");
   if (name_len > kMaxNameLen) {
-    throw CorruptFileError(std::string(source.format()) +
-                           ": column name length exceeds sanity cap");
+    throw CorruptFileError("SCC1: column name length exceeds sanity cap");
   }
   header.name = source.ReadBlob(name_len, "column name");
   const auto type_byte = source.ReadRaw<std::uint8_t>("column type");
   if (type_byte > static_cast<std::uint8_t>(engine::DataType::kString)) {
-    throw CorruptFileError(std::string(source.format()) +
-                           ": bad column type");
+    throw CorruptFileError("SCC1: bad column type");
   }
   header.type = static_cast<engine::DataType>(type_byte);
   return header;
@@ -310,169 +330,10 @@ std::int64_t WriteFileAtomic(const std::string& path, WriteFn&& write_fn) {
 
 }  // namespace
 
-std::int64_t WriteTable(const engine::Table& table, std::ostream& out) {
-  CrcSink sink(out);
-  sink.Write(kMagic, sizeof(kMagic));
-  sink.WriteRaw<std::uint32_t>(
-      static_cast<std::uint32_t>(table.num_columns()));
-  sink.WriteRaw<std::uint64_t>(
-      static_cast<std::uint64_t>(table.num_rows()));
-  std::string buf;  // reused per-column payload buffer
-  for (std::size_t c = 0; c < table.num_columns(); ++c) {
-    const engine::Field& field = table.schema().field(c);
-    sink.WriteRaw<std::uint32_t>(
-        static_cast<std::uint32_t>(field.name.size()));
-    sink.Write(field.name.data(), field.name.size());
-    sink.WriteRaw<std::uint8_t>(static_cast<std::uint8_t>(field.type));
-    const engine::Column& col = table.column(c);
-    buf.clear();
-    switch (field.type) {
-      case engine::DataType::kInt64:
-        buf.assign(reinterpret_cast<const char*>(col.ints().data()),
-                   col.ints().size() * sizeof(std::int64_t));
-        break;
-      case engine::DataType::kFloat64:
-        buf.assign(reinterpret_cast<const char*>(col.doubles().data()),
-                   col.doubles().size() * sizeof(double));
-        break;
-      case engine::DataType::kString:
-        // Row-wise through GetString: dictionary-encoded columns write
-        // the same decoded bytes a plain column would, keeping SCT1
-        // representation-independent.
-        for (std::size_t r = 0; r < col.size(); ++r) {
-          const std::string& s = col.GetString(r);
-          AppendRaw<std::uint32_t>(&buf,
-                                   static_cast<std::uint32_t>(s.size()));
-          buf.append(s);
-        }
-        break;
-    }
-    WriteColumnPayload(sink, buf);
-  }
-  WriteFooter(sink, static_cast<std::uint64_t>(table.num_rows()),
-              static_cast<std::uint32_t>(table.num_columns()),
-              kFooterMagic);
-  if (!out) throw std::runtime_error("SCT1: write failure");
-  return sink.bytes();
-}
-
-engine::Table ReadTable(std::istream& in, const ReadOptions& options) {
-  CrcSource source(in, options.verify_checksums, "SCT1");
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw CorruptFileError("SCT1: bad magic");
-  }
-  source.FoldCrc(magic, sizeof(magic));
-  const auto num_cols = source.ReadRaw<std::uint32_t>("column count");
-  if (num_cols > kMaxColumns) {
-    throw CorruptFileError("SCT1: column count exceeds sanity cap");
-  }
-  const auto num_rows = source.ReadRaw<std::uint64_t>("row count");
-  std::vector<engine::Field> fields;
-  std::vector<engine::Column> columns;
-  fields.reserve(num_cols);
-  columns.reserve(num_cols);
-  for (std::uint32_t c = 0; c < num_cols; ++c) {
-    ColumnHeader header = ReadColumnHeader(source);
-    const std::string payload = ReadColumnPayload(source);
-    switch (header.type) {
-      case engine::DataType::kInt64: {
-        // Division form: num_rows * 8 could wrap for hostile row counts.
-        if (payload.size() % sizeof(std::int64_t) != 0 ||
-            num_rows != payload.size() / sizeof(std::int64_t)) {
-          throw CorruptFileError("SCT1: bad int64 payload size");
-        }
-        std::vector<std::int64_t> values(num_rows);
-        std::memcpy(values.data(), payload.data(), payload.size());
-        columns.push_back(engine::Column::FromInts(std::move(values)));
-        break;
-      }
-      case engine::DataType::kFloat64: {
-        if (payload.size() % sizeof(double) != 0 ||
-            num_rows != payload.size() / sizeof(double)) {
-          throw CorruptFileError("SCT1: bad float64 payload size");
-        }
-        std::vector<double> values(num_rows);
-        std::memcpy(values.data(), payload.data(), payload.size());
-        columns.push_back(engine::Column::FromDoubles(std::move(values)));
-        break;
-      }
-      case engine::DataType::kString: {
-        std::vector<std::string> values;
-        // Each value costs at least its 4-byte length prefix, so the
-        // payload bounds the row count — reserve never exceeds it.
-        values.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
-            num_rows, payload.size() / 4 + 1)));
-        std::size_t pos = 0;
-        for (std::uint64_t r = 0; r < num_rows; ++r) {
-          if (pos + 4 > payload.size()) {
-            throw CorruptFileError("SCT1: truncated string length");
-          }
-          std::uint32_t len = 0;
-          std::memcpy(&len, payload.data() + pos, 4);
-          pos += 4;
-          if (pos + len > payload.size()) {
-            throw CorruptFileError("SCT1: truncated string value");
-          }
-          values.emplace_back(payload.data() + pos, len);
-          pos += len;
-        }
-        if (pos != payload.size()) {
-          throw CorruptFileError("SCT1: string payload has trailing bytes");
-        }
-        columns.push_back(engine::Column::FromStrings(std::move(values)));
-        break;
-      }
-    }
-    fields.push_back(engine::Field{std::move(header.name), header.type});
-  }
-  ReadFooter(source, num_rows, num_cols, kFooterMagic);
-  return engine::Table(engine::Schema(std::move(fields)),
-                       std::move(columns));
-}
-
-std::int64_t SerializedSize(const engine::Table& table) {
-  std::int64_t total = 4 + 4 + 8;
-  for (std::size_t c = 0; c < table.num_columns(); ++c) {
-    const engine::Field& field = table.schema().field(c);
-    // name_len + name + type + payload_len + payload + payload_crc
-    total += 4 + static_cast<std::int64_t>(field.name.size()) + 1 + 8 + 4;
-    const engine::Column& col = table.column(c);
-    switch (field.type) {
-      case engine::DataType::kInt64:
-        total += static_cast<std::int64_t>(col.ints().size() * 8);
-        break;
-      case engine::DataType::kFloat64:
-        total += static_cast<std::int64_t>(col.doubles().size() * 8);
-        break;
-      case engine::DataType::kString:
-        for (std::size_t r = 0; r < col.size(); ++r) {
-          total += 4 + static_cast<std::int64_t>(col.GetString(r).size());
-        }
-        break;
-    }
-  }
-  return total + kFooterBytes;
-}
-
-std::int64_t WriteTableFile(const engine::Table& table,
-                            const std::string& path) {
-  return WriteFileAtomic(
-      path, [&](std::ostream& out) { return WriteTable(table, out); });
-}
-
-engine::Table ReadTableFile(const std::string& path,
-                            const ReadOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open for read: " + path);
-  return ReadTable(in, options);
-}
-
 std::int64_t WriteTableCompressed(const engine::Table& table,
                                   std::ostream& out) {
   CrcSink sink(out);
-  sink.Write(kMagicCompressed, sizeof(kMagicCompressed));
+  sink.Write(kMagic, sizeof(kMagic));
   sink.WriteRaw<std::uint32_t>(
       static_cast<std::uint32_t>(table.num_columns()));
   sink.WriteRaw<std::uint64_t>(
@@ -494,11 +355,12 @@ std::int64_t WriteTableCompressed(const engine::Table& table,
         for (std::size_t r = 0; r < col.ints().size(); ++r) {
           if (r == 0 || col.ints()[r] < min) min = col.ints()[r];
         }
-        for (const std::int64_t v : col.ints()) {
-          PutVarint(&buf, ZigZag(static_cast<std::int64_t>(
-                              static_cast<std::uint64_t>(v) -
-                              static_cast<std::uint64_t>(min))));
-        }
+        const std::int64_t* values = col.ints().data();
+        PutVarints(&buf, col.ints().size(), [&](std::size_t r) {
+          return ZigZag(static_cast<std::int64_t>(
+              static_cast<std::uint64_t>(values[r]) -
+              static_cast<std::uint64_t>(min)));
+        });
         sink.WriteRaw<std::int64_t>(min);
         break;
       }
@@ -513,39 +375,40 @@ std::int64_t WriteTableCompressed(const engine::Table& table,
       }
       case engine::DataType::kString: {
         // Dictionary page. Plain columns are encoded on the fly, so a
-        // spilled plain MV refills compressed.
+        // plain table reads back compressed.
         sink.WriteRaw<std::uint8_t>(kEncDict);
-        const engine::Column encoded =
-            col.dictionary_encoded() ? col : col.DictionaryEncode();
+        std::optional<engine::Column> encoded_copy;
+        if (!col.dictionary_encoded()) encoded_copy = col.DictionaryEncode();
+        const engine::Column& encoded = encoded_copy ? *encoded_copy : col;
         const engine::Column::Dictionary& dict = *encoded.dictionary();
         PutVarint(&buf, dict.size());
         for (const std::string& s : dict) {
           PutVarint(&buf, s.size());
           buf.append(s);
         }
-        for (const std::int32_t code : encoded.codes()) {
-          PutVarint(&buf, static_cast<std::uint64_t>(
-                              static_cast<std::uint32_t>(code)));
-        }
+        const std::int32_t* codes = encoded.codes().data();
+        PutVarints(&buf, encoded.codes().size(), [&](std::size_t r) {
+          return static_cast<std::uint64_t>(
+              static_cast<std::uint32_t>(codes[r]));
+        });
         break;
       }
     }
     WriteColumnPayload(sink, buf);
   }
   WriteFooter(sink, static_cast<std::uint64_t>(table.num_rows()),
-              static_cast<std::uint32_t>(table.num_columns()),
-              kFooterMagicCompressed);
+              static_cast<std::uint32_t>(table.num_columns()));
   if (!out) throw std::runtime_error("SCC1: write failure");
   return sink.bytes();
 }
 
 engine::Table ReadTableCompressed(std::istream& in,
                                   const ReadOptions& options) {
-  CrcSource source(in, options.verify_checksums, "SCC1");
+  CrcSource source(in, options.verify_checksums);
   char magic[4];
   in.read(magic, sizeof(magic));
   if (!in ||
-      std::memcmp(magic, kMagicCompressed, sizeof(kMagicCompressed)) != 0) {
+      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     throw CorruptFileError("SCC1: bad magic");
   }
   source.FoldCrc(magic, sizeof(magic));
@@ -598,7 +461,11 @@ engine::Table ReadTableCompressed(std::istream& in,
           throw CorruptFileError("SCC1: bad float64 payload size");
         }
         std::vector<double> values(num_rows);
-        std::memcpy(values.data(), buf.data(), buf.size());
+        // An empty vector's data() may be null, which memcpy forbids
+        // even for zero bytes.
+        if (!buf.empty()) {
+          std::memcpy(values.data(), buf.data(), buf.size());
+        }
         columns.push_back(engine::Column::FromDoubles(std::move(values)));
         break;
       }
@@ -647,7 +514,7 @@ engine::Table ReadTableCompressed(std::istream& in,
     }
     fields.push_back(engine::Field{std::move(header.name), header.type});
   }
-  ReadFooter(source, num_rows, num_cols, kFooterMagicCompressed);
+  ReadFooter(source, num_rows, num_cols);
   return engine::Table(engine::Schema(std::move(fields)),
                        std::move(columns));
 }

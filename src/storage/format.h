@@ -9,9 +9,9 @@
 
 namespace sc::storage {
 
-/// Raised by the readers for any integrity failure in an SCT1/SCC1
-/// stream: bad magic, structurally impossible headers, truncation, torn
-/// writes, and (in verifying mode) checksum mismatches. Derives from
+/// Raised by the readers for any integrity failure in an SCC1 stream:
+/// bad magic, structurally impossible headers, truncation, torn writes,
+/// and (in verifying mode) checksum mismatches. Derives from
 /// std::runtime_error so pre-durability catch sites keep working; new
 /// code catches the precise type to distinguish "the file is damaged"
 /// (fall back to recompute / quarantine) from environmental I/O errors.
@@ -33,47 +33,9 @@ struct ReadOptions {
   bool verify_checksums = true;
 };
 
-/// Binary columnar table format ("SCT1"): the stand-in for the paper's
-/// Parquet/ORC files on external storage. Layout:
-///
-///   magic "SCT1" | u32 num_cols | u64 num_rows
-///   per column: u32 name_len | name | u8 type
-///               | u64 payload_len | payload | u32 payload_crc32c
-///   payload: int64/float64 -> raw array; string -> per value u32 len+bytes
-///   footer: u64 num_rows | u32 num_cols | u32 file_crc32c | "SCTF"
-///
-/// The file checksum covers every metadata byte from the magic up to
-/// (excluding) the footer — counts, column headers, payload lengths, and
-/// the per-column checksum words. Payload bytes are covered by their own
-/// per-column CRC32C (hashed exactly once), which the file checksum
-/// seals in turn, so a flip anywhere still fails verification. Both SCC1
-/// and SCT1 share this coverage rule. All integers
-/// little-endian (host order; the format is not meant for
-/// cross-architecture exchange). Dictionary-encoded string columns are
-/// written decoded, so SCT1 bytes are representation-independent.
-
-/// Serializes `table` to `out`. Returns bytes written.
-std::int64_t WriteTable(const engine::Table& table, std::ostream& out);
-
-/// Deserializes a table from `in`. Throws CorruptFileError on a
-/// malformed, truncated, or (when verifying) corrupted stream. Hostile
-/// length fields never cause over-allocation: payloads are read in
-/// bounded chunks, so memory use is capped by the bytes actually
-/// present plus one chunk.
-engine::Table ReadTable(std::istream& in, const ReadOptions& options = {});
-
-/// Size in bytes WriteTable would produce (without serializing).
-std::int64_t SerializedSize(const engine::Table& table);
-
-/// File convenience wrappers; throw std::runtime_error on I/O failure
-/// and CorruptFileError on damaged content.
-std::int64_t WriteTableFile(const engine::Table& table,
-                            const std::string& path);
-engine::Table ReadTableFile(const std::string& path,
-                            const ReadOptions& options = {});
-
-/// Compressed columnar block format ("SCC1"): what SharedCatalog spill
-/// files use, sized for residency rather than exchange. Layout:
+/// The table format ("SCC1"): the one on-disk representation, used for
+/// warehouse tables (the stand-in for the paper's Parquet/ORC files on
+/// external storage) and for SharedCatalog spill files alike. Layout:
 ///
 ///   magic "SCC1" | u32 num_cols | u64 num_rows
 ///   per column: u32 name_len | name | u8 type | u8 encoding
@@ -87,12 +49,20 @@ engine::Table ReadTableFile(const std::string& path,
 ///   1 for-varint — int64 payload: raw i64 frame minimum, then one
 ///                zig-zag LEB128 varint per value of (v - min). Cold
 ///                surrogate-key/date columns shrink to 1-2 bytes/value.
-///   2 dict     — string payload: u32 dict_size, dictionary entries
-///                (u32 len + bytes, sorted unique), then one LEB128
+///   2 dict     — string payload: varint dict_size, dictionary entries
+///                (varint len + bytes, sorted unique), then one LEB128
 ///                varint code per row. Plain string columns are
 ///                dictionary-encoded on write; the reader always
 ///                returns a dictionary-encoded engine::Column, so a
-///                refilled entry stays compressed in memory too.
+///                table read from disk stays compressed in memory too.
+///
+/// The file checksum covers every metadata byte from the magic up to
+/// (excluding) the footer — counts, column headers, frame minimums,
+/// payload lengths, and the per-column checksum words. Payload bytes are
+/// covered by their own per-column CRC32C (hashed exactly once), which
+/// the file checksum seals in turn, so a flip anywhere still fails
+/// verification. All integers little-endian (host order; the format is
+/// not meant for cross-architecture exchange).
 
 /// Serializes `table` compressed to `out`. Returns bytes written.
 std::int64_t WriteTableCompressed(const engine::Table& table,
@@ -100,14 +70,17 @@ std::int64_t WriteTableCompressed(const engine::Table& table,
 
 /// Deserializes an SCC1 stream. String columns come back
 /// dictionary-encoded. Throws CorruptFileError on a malformed,
-/// truncated, or (when verifying) corrupted stream, with the same
-/// bounded-allocation guarantees as ReadTable.
+/// truncated, or (when verifying) corrupted stream. Hostile length
+/// fields never cause over-allocation: payloads are read in bounded
+/// chunks, so memory use is capped by the bytes actually present plus
+/// one chunk.
 engine::Table ReadTableCompressed(std::istream& in,
                                   const ReadOptions& options = {});
 
-/// File wrappers with the same write-then-rename atomicity as
-/// WriteTableFile; throw std::runtime_error on I/O failure and
-/// CorruptFileError on damaged content.
+/// File wrappers. Writes are atomic (write-then-rename: the path holds
+/// either the old complete table or the new one). Both throw
+/// std::runtime_error on I/O failure; reads throw CorruptFileError on
+/// damaged content.
 std::int64_t WriteTableFileCompressed(const engine::Table& table,
                                       const std::string& path);
 engine::Table ReadTableFileCompressed(const std::string& path,

@@ -101,7 +101,7 @@ std::int64_t ThrottledDisk::WriteTable(const std::string& name,
   const double start = Now();
   std::int64_t bytes = 0;
   try {
-    bytes = WriteTableFile(table, PathFor(name));
+    bytes = WriteTableFileCompressed(table, PathFor(name));
     // Post-write corruption probe: the write "succeeded" but the device
     // lied. Damage the landed file; a verified read must catch it.
     if (injector != nullptr) {
@@ -138,9 +138,13 @@ engine::Table ThrottledDisk::ReadTable(const std::string& name) {
   const double start = Now();
   std::optional<engine::Table> table;
   try {
-    table.emplace(ReadTableFile(PathFor(name),
-                                ReadOptions{profile_.verify_reads}));
-    PadToTarget(start, SerializedSize(*table), profile_.read_bw);
+    const std::string path = PathFor(name);
+    table.emplace(
+        ReadTableFileCompressed(path, ReadOptions{profile_.verify_reads}));
+    // Charged for the bytes on disk, like the write: the shared file
+    // lock keeps the file unchanged since the read.
+    PadToTarget(start, static_cast<std::int64_t>(fs::file_size(path)),
+                profile_.read_bw);
   } catch (...) {
     ReleaseChannel();
     throw;

@@ -28,7 +28,7 @@ struct DiskProfile {
   /// serving deployments (RefreshService) raise it to match their
   /// worker count.
   int channels = 1;
-  /// Verify SCT1 checksums on every read (the serving default): a
+  /// Verify SCC1 checksums on every read (the serving default): a
   /// damaged warehouse file surfaces as storage::CorruptFileError
   /// instead of a garbage table. False skips the checksum arithmetic
   /// (structural bounds checks still apply) — the bench overhead gate
@@ -36,9 +36,10 @@ struct DiskProfile {
   bool verify_reads = true;
 };
 
-/// External storage emulation: persists tables as SCT1 files under a root
-/// directory and pads each operation's wall time to what the configured
-/// device would need (sleeping the remainder after the real I/O). This
+/// External storage emulation: persists tables as SCC1 files (see
+/// storage/format.h) under a root directory and pads each operation's
+/// wall time to what the configured device would need for the file's
+/// bytes (sleeping the remainder after the real I/O). This
 /// stands in for the paper's NFS + Hive warehouse directory so that
 /// read/write short-circuiting produces measurable wall-clock savings at
 /// laptop scale.
@@ -52,14 +53,16 @@ class ThrottledDisk {
  public:
   ThrottledDisk(std::string root_dir, DiskProfile profile);
 
-  /// Persists `table` as `<root>/<name>.sct`; returns bytes written.
-  /// Throws std::runtime_error on I/O failure.
+  /// Persists `table` as the SCC1 file `<root>/<name>.sct`; returns the
+  /// file's bytes, which the write is charged for. Throws
+  /// std::runtime_error on I/O failure.
   std::int64_t WriteTable(const std::string& name,
                           const engine::Table& table);
 
-  /// Loads `<root>/<name>.sct`. With DiskProfile::verify_reads the read
-  /// is checksum-verified and throws storage::CorruptFileError on any
-  /// damage.
+  /// Loads `<root>/<name>.sct`, charged for the file's bytes. String
+  /// columns come back dictionary-encoded. With DiskProfile::verify_reads
+  /// the read is checksum-verified and throws storage::CorruptFileError
+  /// on any damage.
   engine::Table ReadTable(const std::string& name);
 
   bool Exists(const std::string& name) const;

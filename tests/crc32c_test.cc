@@ -31,12 +31,15 @@ TEST(Crc32cTest, KnownAnswerVector) {
 
 TEST(Crc32cTest, MatchesBitwiseReferenceAcrossSizes) {
   // Sizes straddle every internal regime: the byte/word tail, the
-  // three-chain block (6 KB), and the hybrid super-block (24 KB), plus
-  // off-by-one edges and unaligned tails around each.
+  // three-chain block (6 KB), the hybrid super-block (24 KB), and the
+  // 512-bit fold (1 KB minimum, 256-byte stride), plus off-by-one edges
+  // and unaligned tails around each.
   std::mt19937_64 rng(2024);
   for (const std::size_t size :
        {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
-        std::size_t{9}, std::size_t{255}, std::size_t{2047},
+        std::size_t{9}, std::size_t{255}, std::size_t{1023},
+        std::size_t{1024}, std::size_t{1025}, std::size_t{1279},
+        std::size_t{1280}, std::size_t{2047},
         std::size_t{6143}, std::size_t{6144}, std::size_t{6145},
         std::size_t{24575}, std::size_t{24576}, std::size_t{24577},
         std::size_t{100000}}) {

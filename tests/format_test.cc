@@ -26,95 +26,79 @@ Table SampleTable() {
                std::move(cols));
 }
 
+std::string Serialize(const Table& t) {
+  std::stringstream buffer;
+  WriteTableCompressed(t, buffer);
+  return buffer.str();
+}
+
+Table Deserialize(const std::string& data, const ReadOptions& options = {}) {
+  std::stringstream in(data);
+  return ReadTableCompressed(in, options);
+}
+
 TEST(FormatTest, StreamRoundTrip) {
   const Table original = SampleTable();
   std::stringstream buffer;
-  const std::int64_t written = WriteTable(original, buffer);
-  EXPECT_GT(written, 0);
-  const Table loaded = ReadTable(buffer);
+  const std::int64_t written = WriteTableCompressed(original, buffer);
+  EXPECT_EQ(written, static_cast<std::int64_t>(buffer.str().size()));
+  const Table loaded = ReadTableCompressed(buffer);
   EXPECT_TRUE(loaded == original);
-}
-
-TEST(FormatTest, SerializedSizeMatchesBytesWritten) {
-  const Table t = SampleTable();
-  std::stringstream buffer;
-  EXPECT_EQ(WriteTable(t, buffer), SerializedSize(t));
 }
 
 TEST(FormatTest, EmptyTableRoundTrip) {
   const Table empty = Table::Empty(
-      Schema({Field{"a", DataType::kInt64},
-              Field{"b", DataType::kString}}));
-  std::stringstream buffer;
-  WriteTable(empty, buffer);
-  const Table loaded = ReadTable(buffer);
+      Schema({Field{"a", DataType::kInt64}, Field{"b", DataType::kString},
+              Field{"c", DataType::kFloat64}}));
+  const Table loaded = Deserialize(Serialize(empty));
   EXPECT_EQ(loaded.num_rows(), 0u);
   EXPECT_TRUE(loaded.schema() == empty.schema());
 }
 
 TEST(FormatTest, BadMagicThrows) {
-  std::stringstream buffer("NOPE....");
-  EXPECT_THROW(ReadTable(buffer), std::runtime_error);
+  EXPECT_THROW(Deserialize("NOPE...."), CorruptFileError);
+  // A well-formed stream under another format version's magic is
+  // rejected too.
+  std::string other_version = Serialize(SampleTable());
+  other_version.replace(0, 4, "SCC2");
+  EXPECT_THROW(Deserialize(other_version), CorruptFileError);
 }
 
 TEST(FormatTest, TruncatedStreamThrows) {
-  const Table t = SampleTable();
-  std::stringstream buffer;
-  WriteTable(t, buffer);
-  std::string data = buffer.str();
+  std::string data = Serialize(SampleTable());
   data.resize(data.size() / 2);
-  std::stringstream truncated(data);
-  EXPECT_THROW(ReadTable(truncated), std::runtime_error);
+  EXPECT_THROW(Deserialize(data), std::runtime_error);
 }
 
 TEST(FormatTest, FileRoundTrip) {
   const Table t = SampleTable();
-  const std::string path = testing::TempDir() + "/sc_format_test.sct";
-  WriteTableFile(t, path);
-  const Table loaded = ReadTableFile(path);
+  const std::string path = testing::TempDir() + "/sc_format_test.scc";
+  WriteTableFileCompressed(t, path);
+  const Table loaded = ReadTableFileCompressed(path);
   EXPECT_TRUE(loaded == t);
 }
 
 TEST(FormatTest, MissingFileThrows) {
-  EXPECT_THROW(ReadTableFile("/nonexistent/dir/x.sct"),
+  EXPECT_THROW(ReadTableFileCompressed("/nonexistent/dir/x.scc"),
                std::runtime_error);
 }
 
 // ---- Durability: checksum verification and hostile-input hardening ----
-
-std::string Serialize(const Table& t, bool compressed) {
-  std::stringstream buffer;
-  if (compressed) {
-    WriteTableCompressed(t, buffer);
-  } else {
-    WriteTable(t, buffer);
-  }
-  return buffer.str();
-}
-
-Table Deserialize(const std::string& data, bool compressed,
-                  const ReadOptions& options = {}) {
-  std::stringstream in(data);
-  return compressed ? ReadTableCompressed(in, options)
-                    : ReadTable(in, options);
-}
 
 // A verifying read detects a single flipped bit anywhere in the stream —
 // header, column payloads, per-column checksums, footer. Randomized
 // offsets with a fixed seed keep the run deterministic while covering
 // the whole byte range over time.
 TEST(FormatTest, VerifiedReadDetectsSingleBitFlipsEverywhere) {
-  for (const bool compressed : {false, true}) {
-    const std::string clean = Serialize(SampleTable(), compressed);
-    std::mt19937_64 rng(42);
-    std::uniform_int_distribution<std::size_t> pos(0, clean.size() - 1);
-    std::uniform_int_distribution<int> bit(0, 7);
-    for (int trial = 0; trial < 64; ++trial) {
-      std::string damaged = clean;
-      damaged[pos(rng)] ^= static_cast<char>(1 << bit(rng));
-      EXPECT_THROW(Deserialize(damaged, compressed), CorruptFileError)
-          << (compressed ? "SCC1" : "SCT1") << " trial " << trial;
-    }
+  const std::string clean = Serialize(SampleTable());
+  std::mt19937_64 rng(42);
+  std::uniform_int_distribution<std::size_t> pos(0, clean.size() - 1);
+  std::uniform_int_distribution<int> bit(0, 7);
+  for (int trial = 0; trial < 128; ++trial) {
+    std::string damaged = clean;
+    damaged[pos(rng)] ^= static_cast<char>(1 << bit(rng));
+    EXPECT_THROW(Deserialize(damaged), CorruptFileError)
+        << "trial " << trial;
   }
 }
 
@@ -122,79 +106,64 @@ TEST(FormatTest, VerifiedReadDetectsSingleBitFlipsEverywhere) {
 // table), in verifying AND non-verifying mode: the footer end marker
 // catches torn tails even without checksum arithmetic.
 TEST(FormatTest, TruncationAtEveryLengthThrowsBothModes) {
-  for (const bool compressed : {false, true}) {
-    const std::string clean = Serialize(SampleTable(), compressed);
-    for (std::size_t len = 0; len < clean.size(); ++len) {
-      const std::string cut = clean.substr(0, len);
-      EXPECT_THROW(Deserialize(cut, compressed), CorruptFileError);
-      EXPECT_THROW(Deserialize(cut, compressed, ReadOptions{false}),
-                   CorruptFileError);
-    }
+  const std::string clean = Serialize(SampleTable());
+  for (std::size_t len = 0; len < clean.size(); ++len) {
+    const std::string cut = clean.substr(0, len);
+    EXPECT_THROW(Deserialize(cut), CorruptFileError);
+    EXPECT_THROW(Deserialize(cut, ReadOptions{false}), CorruptFileError);
   }
 }
 
 // The torn-write shape: right length, tail zeroed. Structural EOF checks
 // cannot see it; checksums (and the footer end marker) must.
 TEST(FormatTest, ZeroedTailDetected) {
-  for (const bool compressed : {false, true}) {
-    std::string torn = Serialize(SampleTable(), compressed);
-    std::memset(torn.data() + torn.size() / 2, 0, torn.size() / 2);
-    EXPECT_THROW(Deserialize(torn, compressed), CorruptFileError);
-  }
+  std::string torn = Serialize(SampleTable());
+  std::memset(torn.data() + torn.size() / 2, 0, torn.size() / 2);
+  EXPECT_THROW(Deserialize(torn), CorruptFileError);
 }
 
 // Hostile headers must never drive allocation: a count field claiming
 // 2^60 rows against a tiny stream has to fail fast (bounded reads), not
 // attempt the allocation. These streams are garbage after valid magic.
 TEST(FormatTest, HostileHeaderCountsNeverOverAllocate) {
-  const std::string magics[] = {"SCT1", "SCC1"};
-  for (const std::string& magic : magics) {
-    const bool compressed = magic == "SCC1";
-    // num_cols = 0xFFFFFFFF, num_rows = 2^60, then nothing.
-    std::string data = magic;
-    data += std::string("\xFF\xFF\xFF\xFF", 4);
-    std::uint64_t rows = 1ULL << 60;
-    data.append(reinterpret_cast<const char*>(&rows), sizeof(rows));
-    EXPECT_THROW(Deserialize(data, compressed), CorruptFileError);
+  // num_cols = 0xFFFFFFFF, num_rows = 2^60, then nothing.
+  std::string data = "SCC1";
+  data += std::string("\xFF\xFF\xFF\xFF", 4);
+  std::uint64_t rows = 1ULL << 60;
+  data.append(reinterpret_cast<const char*>(&rows), sizeof(rows));
+  EXPECT_THROW(Deserialize(data), CorruptFileError);
 
-    // Plausible col count but a payload_len far past the actual bytes.
-    std::string lying = magic;
-    std::uint32_t cols = 1;
-    lying.append(reinterpret_cast<const char*>(&cols), sizeof(cols));
-    lying.append(reinterpret_cast<const char*>(&rows), sizeof(rows));
-    std::uint32_t name_len = 1;
-    lying.append(reinterpret_cast<const char*>(&name_len),
-                 sizeof(name_len));
-    lying += "c";
-    lying += '\0';  // type = int64
-    if (compressed) lying += '\x01';  // encoding = for-varint
-    if (compressed) {
-      std::int64_t frame_min = 0;
-      lying.append(reinterpret_cast<const char*>(&frame_min),
-                   sizeof(frame_min));
-    }
-    std::uint64_t payload_len = 1ULL << 59;
-    lying.append(reinterpret_cast<const char*>(&payload_len),
-                 sizeof(payload_len));
-    lying += "only a few real bytes";
-    EXPECT_THROW(Deserialize(lying, compressed), CorruptFileError);
-  }
+  // Plausible col count but a payload_len far past the actual bytes.
+  std::string lying = "SCC1";
+  std::uint32_t cols = 1;
+  lying.append(reinterpret_cast<const char*>(&cols), sizeof(cols));
+  lying.append(reinterpret_cast<const char*>(&rows), sizeof(rows));
+  std::uint32_t name_len = 1;
+  lying.append(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
+  lying += "c";
+  lying += '\0';    // type = int64
+  lying += '\x01';  // encoding = for-varint
+  std::int64_t frame_min = 0;
+  lying.append(reinterpret_cast<const char*>(&frame_min), sizeof(frame_min));
+  std::uint64_t payload_len = 1ULL << 59;
+  lying.append(reinterpret_cast<const char*>(&payload_len),
+               sizeof(payload_len));
+  lying += "only a few real bytes";
+  EXPECT_THROW(Deserialize(lying), CorruptFileError);
 }
 
 // Unverified mode still cross-checks the footer's row/column counts and
 // end marker, so swapping two files' tails (or garbage counts) is caught
 // without checksum arithmetic.
 TEST(FormatTest, UnverifiedModeRoundTripsAndChecksFooter) {
-  for (const bool compressed : {false, true}) {
-    const std::string clean = Serialize(SampleTable(), compressed);
-    const Table loaded = Deserialize(clean, compressed, ReadOptions{false});
-    EXPECT_TRUE(loaded == SampleTable());
-    // Damage the footer's end marker only.
-    std::string bad_marker = clean;
-    bad_marker[bad_marker.size() - 1] ^= 0x20;
-    EXPECT_THROW(Deserialize(bad_marker, compressed, ReadOptions{false}),
-                 CorruptFileError);
-  }
+  const std::string clean = Serialize(SampleTable());
+  const Table loaded = Deserialize(clean, ReadOptions{false});
+  EXPECT_TRUE(loaded == SampleTable());
+  // Damage the footer's end marker only.
+  std::string bad_marker = clean;
+  bad_marker[bad_marker.size() - 1] ^= 0x20;
+  EXPECT_THROW(Deserialize(bad_marker, ReadOptions{false}),
+               CorruptFileError);
 }
 
 TEST(FormatTest, CorruptFileErrorIsRuntimeError) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <random>
 #include <thread>
 
 #include "storage/throttled_disk.h"
@@ -14,10 +15,21 @@ using engine::Field;
 using engine::Schema;
 using engine::Table;
 
+// 1000 full-range random ints: frame-of-reference varints cannot shrink
+// them, so the file stays above 8 KB.
 Table SmallTable() {
+  std::mt19937_64 rng(7);
+  std::vector<std::int64_t> values(1000);
+  for (std::int64_t& v : values) v = static_cast<std::int64_t>(rng());
   std::vector<Column> cols;
-  cols.push_back(Column::FromInts(std::vector<std::int64_t>(1000, 7)));
+  cols.push_back(Column::FromInts(std::move(values)));
   return Table(Schema({Field{"x", DataType::kInt64}}), std::move(cols));
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 DiskProfile FastProfile() {
@@ -35,6 +47,20 @@ TEST(ThrottledDiskTest, WriteReadRoundTrip) {
   EXPECT_EQ(disk.FileSize("t1"), bytes);
   const Table loaded = disk.ReadTable("t1");
   EXPECT_TRUE(loaded == t);
+}
+
+TEST(ThrottledDiskTest, PlainStringsReadBackDictionaryEncoded) {
+  ThrottledDisk disk(testing::TempDir() + "/sc_disk_strings", FastProfile());
+  std::vector<std::string> values;
+  for (int i = 0; i < 500; ++i) values.push_back("s" + std::to_string(i % 7));
+  std::vector<Column> cols;
+  cols.push_back(Column::FromStrings(std::move(values)));
+  const Table t(Schema({Field{"s", DataType::kString}}), std::move(cols));
+  ASSERT_FALSE(t.column(0).dictionary_encoded());
+  disk.WriteTable("t", t);
+  const Table loaded = disk.ReadTable("t");
+  EXPECT_TRUE(loaded == t);
+  EXPECT_TRUE(loaded.column(0).dictionary_encoded());
 }
 
 TEST(ThrottledDiskTest, RemoveAndMissing) {
@@ -57,11 +83,25 @@ TEST(ThrottledDiskTest, ThrottlePadsDuration) {
   ThrottledDisk disk(testing::TempDir() + "/sc_disk_slow", slow);
   const auto start = std::chrono::steady_clock::now();
   disk.WriteTable("t", SmallTable());
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double elapsed = SecondsSince(start);
   EXPECT_GT(elapsed, 0.05);
   EXPECT_GT(disk.total_write_seconds(), 0.05);
+}
+
+TEST(ThrottledDiskTest, ThrottledReadChargedForFileBytes) {
+  DiskProfile slow;
+  slow.read_bw = 100e3;
+  slow.write_bw = 1e9;
+  slow.latency = 0.01;
+  slow.throttle = true;
+  ThrottledDisk disk(testing::TempDir() + "/sc_disk_slow_read", slow);
+  disk.WriteTable("t", SmallTable());
+  const std::int64_t file_bytes = disk.FileSize("t");
+  ASSERT_GE(file_bytes, 8000);
+  const auto start = std::chrono::steady_clock::now();
+  disk.ReadTable("t");
+  EXPECT_GE(SecondsSince(start),
+            slow.latency + static_cast<double>(file_bytes) / slow.read_bw);
 }
 
 TEST(ThrottledDiskTest, AccumulatesTimers) {
@@ -97,9 +137,7 @@ TEST(ThrottledDiskTest, MultiChannelReadsOverlap) {
   std::thread other([&] { disk.ReadTable("t"); });
   disk.ReadTable("t");
   other.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double elapsed = SecondsSince(start);
   // Overlapped: well under the 500ms a single channel would need, with
   // 200ms slack for thread spawn and scheduling on loaded runners.
   EXPECT_LT(elapsed, 0.45);
@@ -117,9 +155,7 @@ TEST(ThrottledDiskTest, SingleChannelSerializesReads) {
   std::thread other([&] { disk.ReadTable("t"); });
   disk.ReadTable("t");
   other.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double elapsed = SecondsSince(start);
   EXPECT_GT(elapsed, 0.095);
 }
 
