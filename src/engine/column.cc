@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 namespace sc::engine {
@@ -11,7 +13,88 @@ namespace sc::engine {
 namespace {
 // Process-wide tally backing the sc_dict_columns_total gauge.
 std::atomic<std::int64_t> g_dict_columns_created{0};
+std::atomic<std::int64_t> g_cross_dictionary_fallbacks{0};
+
+/// The InternDictionary registry: weak references bucketed by content
+/// hash. Expired entries are dropped when their bucket is looked up,
+/// and all of them once the map grows past twice its live count at the
+/// last sweep.
+struct DictionaryRegistry {
+  std::mutex mu;
+  std::unordered_multimap<std::uint64_t,
+                          std::weak_ptr<const Column::Dictionary>>
+      entries;
+  std::size_t live_at_sweep = 0;
+};
+
+DictionaryRegistry& Registry() {
+  // Leaked on purpose: tables may be read or destroyed during static
+  // destruction.
+  static auto* registry = new DictionaryRegistry;
+  return *registry;
+}
+
+/// Live dictionaries registered under `hash`; erases the bucket's
+/// expired entries on the way. Caller holds the registry mutex.
+std::vector<Column::DictionaryPtr> LiveUnder(DictionaryRegistry& registry,
+                                             std::uint64_t hash) {
+  std::vector<Column::DictionaryPtr> live;
+  auto [it, end] = registry.entries.equal_range(hash);
+  while (it != end) {
+    if (Column::DictionaryPtr dict = it->second.lock()) {
+      live.push_back(std::move(dict));
+      ++it;
+    } else {
+      it = registry.entries.erase(it);
+    }
+  }
+  return live;
+}
 }  // namespace
+
+std::int64_t CrossDictionaryFallbacks() {
+  return g_cross_dictionary_fallbacks.load(std::memory_order_relaxed);
+}
+
+void CountCrossDictionaryFallback() {
+  g_cross_dictionary_fallbacks.fetch_add(1, std::memory_order_relaxed);
+}
+
+Column::DictionaryPtr Column::InternDictionary(
+    std::uint64_t hash, const std::function<bool(const Dictionary&)>& matches,
+    const std::function<Dictionary()>& build) {
+  DictionaryRegistry& registry = Registry();
+  std::vector<DictionaryPtr> candidates;
+  {
+    std::lock_guard<std::mutex> lock(registry.mu);
+    candidates = LiveUnder(registry, hash);
+  }
+  for (const DictionaryPtr& live : candidates) {
+    if (matches(*live)) return live;
+  }
+  auto built = std::make_shared<const Dictionary>(build());
+  std::lock_guard<std::mutex> lock(registry.mu);
+  // A concurrent reader of the same content may have registered first;
+  // its object then wins.
+  for (const DictionaryPtr& live : LiveUnder(registry, hash)) {
+    if (*live == *built) return live;
+  }
+  registry.entries.emplace(hash, built);
+  if (registry.entries.size() > 2 * registry.live_at_sweep) {
+    std::erase_if(registry.entries,
+                  [](const auto& entry) { return entry.second.expired(); });
+    registry.live_at_sweep = registry.entries.size();
+  }
+  return built;
+}
+
+std::size_t Column::LiveInternedDictionaries() {
+  DictionaryRegistry& registry = Registry();
+  std::lock_guard<std::mutex> lock(registry.mu);
+  return static_cast<std::size_t>(std::count_if(
+      registry.entries.begin(), registry.entries.end(),
+      [](const auto& entry) { return !entry.second.expired(); }));
+}
 
 Column Column::FromInts(std::vector<std::int64_t> values) {
   Column c(DataType::kInt64);
@@ -70,6 +153,12 @@ void Column::EnsurePlainStrings() {
   codes_.clear();
   codes_.shrink_to_fit();
   dict_.reset();
+}
+
+void Column::DecodeForForeignRows() {
+  if (dict_ == nullptr) return;
+  CountCrossDictionaryFallback();
+  EnsurePlainStrings();
 }
 
 Column Column::DictionaryEncode() const {
@@ -176,7 +265,7 @@ void Column::AppendFrom(const Column& other, std::size_t row) {
           return;
         }
       }
-      EnsurePlainStrings();
+      DecodeForForeignRows();
       strings_.push_back(other.GetString(row));
       return;
   }
@@ -230,7 +319,7 @@ void Column::GatherFrom(const Column& other,
         for (std::size_t i = 0; i < rows.size(); ++i) dst[i] = src[rows[i]];
         return;
       }
-      EnsurePlainStrings();
+      DecodeForForeignRows();
       strings_.reserve(strings_.size() + rows.size());
       for (const std::uint32_t r : rows) {
         strings_.push_back(other.GetString(r));
@@ -274,7 +363,7 @@ void Column::AppendRangeFrom(const Column& other, std::size_t begin,
                       other.codes_.begin() + end);
         return;
       }
-      EnsurePlainStrings();
+      DecodeForForeignRows();
       if (strings_.size() + (end - begin) > strings_.capacity()) {
         strings_.reserve(strings_.size() + (end - begin));
       }

@@ -2,6 +2,7 @@
 #define SC_ENGINE_COLUMN_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,7 +22,9 @@ namespace sc::engine {
 ///    stand for, so hash/compare/sort/gather hot paths can run on the
 ///    codes. The dictionary is shared by shared_ptr: columns produced
 ///    from the same source carry the *same* dictionary object, which is
-///    what join/aggregate fast paths test for.
+///    what join/aggregate fast paths test for. Dictionaries decoded from
+///    disk are interned by content (InternDictionary), so tables read
+///    separately share one object too.
 /// Both representations are logically interchangeable: accessors decode
 /// on the fly and operator== compares logical content.
 class Column {
@@ -132,6 +135,21 @@ class Column {
   /// the sc_dict_columns_total gauge.
   static std::int64_t dict_columns_created();
 
+  /// Content-keyed dictionary interning, so that byte-identical
+  /// dictionaries decoded separately (every SCC1 read, warehouse and
+  /// spill alike) share one object and operators stay on int32 codes.
+  /// Returns a live dictionary registered under `hash` for which
+  /// `matches` holds; otherwise registers and returns `build()`. The
+  /// process-wide registry holds weak references only, so it never
+  /// keeps a dictionary alive. `hash` selects candidates; `matches`
+  /// decides, so a hash collision only costs a comparison.
+  static DictionaryPtr InternDictionary(
+      std::uint64_t hash,
+      const std::function<bool(const Dictionary&)>& matches,
+      const std::function<Dictionary()>& build);
+  /// Test hook: interned dictionaries still alive.
+  static std::size_t LiveInternedDictionaries();
+
   /// Move out the underlying typed storage, leaving the column empty.
   /// The expression evaluator recycles intermediate buffers this way
   /// (scratch reuse) instead of allocating per tree node.
@@ -144,6 +162,10 @@ class Column {
   /// Decodes in place to the plain representation (no-op when plain).
   /// The escape hatch for appends that cannot stay on one dictionary.
   void EnsurePlainStrings();
+  /// EnsurePlainStrings for rows from another dictionary (or plain
+  /// rows): a decay of an encoded column counts as a cross-dictionary
+  /// fallback.
+  void DecodeForForeignRows();
 
   DataType type_;
   std::vector<std::int64_t> ints_;
@@ -152,6 +174,14 @@ class Column {
   DictionaryPtr dict_;                // non-null iff dictionary-encoded
   std::vector<std::int32_t> codes_;   // valid iff dict_ != nullptr
 };
+
+/// Process-wide count of operator calls that left the int32-code path
+/// because two string columns did not share one dictionary object: join
+/// or group keys hashed as decoded strings, and appends that decayed an
+/// encoded column to plain strings. Counted once per call, not per row.
+std::int64_t CrossDictionaryFallbacks();
+/// Adds one to CrossDictionaryFallbacks().
+void CountCrossDictionaryFallback();
 
 }  // namespace sc::engine
 

@@ -102,6 +102,20 @@ bool SharedDictStringKeys(const std::vector<const Column*>& a,
   return any_string;
 }
 
+/// Counts a cross-dictionary fallback when hashing without `code_keys`
+/// would decode a dictionary-encoded string key column.
+void CountDecodedKeyFallback(const std::vector<const Column*>& a,
+                             const std::vector<const Column*>& b,
+                             bool code_keys) {
+  if (code_keys) return;
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (a[k]->dictionary_encoded() || b[k]->dictionary_encoded()) {
+      CountCrossDictionaryFallback();
+      return;
+    }
+  }
+}
+
 /// HashKeyRows buffer that recycles allocations through the current
 /// MorselContext's scratch pool (satellite: morsels of one node reuse
 /// hash buffers instead of growing fresh vectors per operator call).
@@ -509,6 +523,7 @@ Table HashJoinTables(const Table& left, const Table& right,
   // sides fall back to decoded-string hashing, which is representation-
   // agnostic and therefore always consistent.
   const bool code_keys = SharedDictStringKeys(lcols, rcols);
+  CountDecodedKeyFallback(lcols, rcols, code_keys);
   MorselContext* ctx = CurrentMorselContext();
   const std::size_t morsels = ctx != nullptr ? ctx->PlanMorsels(ln) : 1;
   HashBuffer rh(ctx, rn);
@@ -632,6 +647,7 @@ Table AggregateTable(const Table& input,
   // dictionary with itself, so any fully-encoded key set groups on
   // int32 codes.
   const bool code_keys = SharedDictStringKeys(key_cols, key_cols);
+  CountDecodedKeyFallback(key_cols, key_cols, code_keys);
   MorselContext* ctx = CurrentMorselContext();
   const std::size_t morsels =
       (!global && ctx != nullptr) ? ctx->PlanMorsels(n) : 1;

@@ -207,23 +207,29 @@ double RunReport::CatalogHitRate() const {
 
 namespace {
 
+/// The cost model's device for a run's disk. ThrottledDisk emulates
+/// bandwidth + latency only, so the paper-testbed per-table open and
+/// commit overheads (seconds each) are zeroed: left in, they would swamp
+/// every millisecond-scale estimate and speedup score.
+cost::DeviceProfile DeviceFor(const storage::DiskProfile& dp) {
+  cost::DeviceProfile device;
+  device.disk_read_bw = dp.read_bw;
+  device.disk_write_bw = dp.write_bw;
+  device.disk_latency = dp.latency;
+  device.table_read_overhead = 0.0;
+  device.table_write_overhead = 0.0;
+  return device;
+}
+
 /// Per-node wall-cost estimates over the run's storage device — the
 /// shared model behind both inline dispatch and the interior morsel
 /// budget. Unprofiled nodes estimate to +infinity.
 std::vector<double> EstimateNodeCosts(const graph::Graph& g,
                                       const opt::FlagSet& flags,
                                       storage::ThrottledDisk* disk) {
-  const storage::DiskProfile& dp = disk->profile();
-  cost::DeviceProfile device;
-  device.disk_read_bw = dp.read_bw;
-  device.disk_write_bw = dp.write_bw;
-  device.disk_latency = dp.latency;
-  // ThrottledDisk emulates bandwidth + latency only; the cost model's
-  // per-table open/commit overheads are not lane-occupancy time here.
-  device.table_read_overhead = 0.0;
-  device.table_write_overhead = 0.0;
-  return opt::EstimateNodeSeconds(g, flags, cost::CostModel(device),
-                                  dp.throttle);
+  return opt::EstimateNodeSeconds(g, flags,
+                                  cost::CostModel(DeviceFor(disk->profile())),
+                                  disk->profile().throttle);
 }
 
 /// Everything one refresh run owns: the stage runtime drives ExecuteNode
@@ -1023,11 +1029,8 @@ RunReport Controller::ProfileAndAnnotate(workload::MvWorkload* wl) {
     info.base_input_bytes =
         std::max<std::int64_t>(0, std::llround(base_seconds * bw));
   }
-  cost::DeviceProfile profile;
-  profile.disk_read_bw = disk_->profile().read_bw;
-  profile.disk_write_bw = disk_->profile().write_bw;
-  profile.disk_latency = disk_->profile().latency;
-  cost::SpeedupEstimator estimator{cost::CostModel(profile)};
+  cost::SpeedupEstimator estimator{
+      cost::CostModel(DeviceFor(disk_->profile()))};
   estimator.AnnotateGraph(&wl->graph);
   return report;
 }

@@ -374,7 +374,8 @@ class Controller {
 
   /// Runs unoptimized while recording execution metadata (§III-A) into the
   /// workload's graph: output sizes, compute seconds, base input bytes,
-  /// and speedup scores derived from the disk profile. This is the
+  /// and speedup scores derived from the disk profile (its latency and
+  /// bandwidths; no per-table overheads). This is the
   /// "observed performance metrics from past runs" the Optimizer consumes.
   RunReport ProfileAndAnnotate(workload::MvWorkload* wl);
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/crc32c.h"
 
@@ -482,15 +483,49 @@ engine::Table ReadTableCompressed(std::istream& in,
         if (dict_size > buf.size() - pos) {
           throw CorruptFileError("SCC1: dictionary size exceeds payload");
         }
-        std::vector<std::string> dict(dict_size);
+        const std::size_t entries_begin = pos;
         for (std::uint64_t i = 0; i < dict_size; ++i) {
           const std::uint64_t len = GetVarint(buf.data(), buf.size(), &pos);
           if (len > buf.size() - pos) {
             throw CorruptFileError("SCC1: truncated dictionary entry");
           }
-          dict[i].assign(buf.data() + pos, len);
           pos += len;
         }
+        // Walks the entries just bounds-checked, stopping early when
+        // `visit` returns false.
+        auto for_each_entry = [&](auto&& visit) {
+          std::size_t at = entries_begin;
+          for (std::uint64_t i = 0; i < dict_size; ++i) {
+            const std::uint64_t len = GetVarint(buf.data(), buf.size(), &at);
+            if (!visit(i, std::string_view(buf.data() + at, len))) {
+              return false;
+            }
+            at += len;
+          }
+          return true;
+        };
+        // Byte-identical dictionary pages resolve to one live object, so
+        // joins and unions across separately read tables stay on codes.
+        // A hit compares the page in place and builds nothing.
+        engine::Column::DictionaryPtr dict =
+            engine::Column::InternDictionary(
+                common::Crc32c(buf.data(), pos),
+                [&](const engine::Column::Dictionary& live) {
+                  return live.size() == dict_size &&
+                         for_each_entry([&](std::uint64_t i,
+                                            std::string_view entry) {
+                           return live[i] == entry;
+                         });
+                },
+                [&] {
+                  engine::Column::Dictionary built(dict_size);
+                  for_each_entry(
+                      [&](std::uint64_t i, std::string_view entry) {
+                        built[i].assign(entry);
+                        return true;
+                      });
+                  return built;
+                });
         if (num_rows > buf.size() - pos) {
           throw CorruptFileError("SCC1: row count exceeds code payload");
         }
@@ -505,10 +540,8 @@ engine::Table ReadTableCompressed(std::istream& in,
         if (pos != buf.size()) {
           throw CorruptFileError("SCC1: string payload has trailing bytes");
         }
-        columns.push_back(engine::Column::FromDictionary(
-            std::make_shared<const engine::Column::Dictionary>(
-                std::move(dict)),
-            std::move(codes)));
+        columns.push_back(
+            engine::Column::FromDictionary(std::move(dict), std::move(codes)));
         break;
       }
     }

@@ -55,6 +55,11 @@ struct ReadOptions {
 ///                dictionary-encoded on write; the reader always
 ///                returns a dictionary-encoded engine::Column, so a
 ///                table read from disk stays compressed in memory too.
+///                The reader interns each dictionary page by content
+///                (engine::Column::InternDictionary, keyed by the CRC32C
+///                of the page): files whose pages are byte-identical
+///                read back sharing one live Dictionary object, so
+///                operators across them stay on int32 codes.
 ///
 /// The file checksum covers every metadata byte from the magic up to
 /// (excluding) the footer — counts, column headers, frame minimums,
@@ -69,7 +74,8 @@ std::int64_t WriteTableCompressed(const engine::Table& table,
                                   std::ostream& out);
 
 /// Deserializes an SCC1 stream. String columns come back
-/// dictionary-encoded. Throws CorruptFileError on a malformed,
+/// dictionary-encoded, on the live dictionary of equal content when one
+/// exists. Throws CorruptFileError on a malformed,
 /// truncated, or (when verifying) corrupted stream. Hostile length
 /// fields never cause over-allocation: payloads are read in bounded
 /// chunks, so memory use is capped by the bytes actually present plus

@@ -2,6 +2,8 @@
 
 #include <filesystem>
 
+#include "cost/cost_model.h"
+#include "engine/executor.h"
 #include "opt/optimizer.h"
 #include "runtime/controller.h"
 #include "storage/format.h"
@@ -174,6 +176,75 @@ TEST(ControllerTest, ProfileAnnotatesMetadata) {
     if (wl.graph.node(v).speedup_score > 0) any_score = true;
   }
   EXPECT_TRUE(any_score);
+}
+
+// Speedup scores are in the run disk's units: per child read, one
+// access latency plus the bytes at read bandwidth minus the memory read;
+// plus the write term. No per-table open/commit overheads (seconds each
+// on the paper testbed, which ThrottledDisk does not emulate).
+TEST(ControllerTest, ProfileScoresUseTheThrottledDiskUnits) {
+  storage::DiskProfile profile;
+  profile.read_bw = 80e6;
+  profile.write_bw = 50e6;
+  profile.latency = 2e-3;
+  storage::ThrottledDisk disk(FreshDir("score_units"), profile);
+  Controller controller(&disk, ControllerOptions{});
+  controller.LoadBaseTables(TinyData());
+  workload::MvWorkload wl = TinyWorkload();
+  ASSERT_TRUE(controller.ProfileAndAnnotate(&wl).ok);
+  const cost::DeviceProfile memory;  // memory bandwidths are the defaults
+  for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
+    const graph::NodeInfo& node = wl.graph.node(v);
+    const double bytes = static_cast<double>(node.size_bytes);
+    const double children = static_cast<double>(wl.graph.children(v).size());
+    const double read = profile.latency + bytes / profile.read_bw -
+                        bytes / memory.mem_read_bw;
+    const double write = profile.latency + bytes / profile.write_bw -
+                         bytes / memory.mem_write_bw;
+    EXPECT_NEAR(node.speedup_score, children * read + write,
+                1e-9 * (children * read + write))
+        << node.name;
+  }
+}
+
+// With every SCC1 dictionary page interned, the string-heavy refresh
+// (fact and dimension category columns written from one domain
+// dictionary) never leaves the int32-code path, whether inputs come from
+// disk or from the Memory Catalog.
+TEST(ControllerTest, StringHeavyRefreshHasNoCrossDictionaryFallbacks) {
+  workload::StringHeavyOptions data_options;
+  data_options.scale = 0.2;
+  storage::ThrottledDisk disk(FreshDir("strheavy"), FastDisk());
+  ControllerOptions options;
+  options.compress_residency = true;
+  options.budget = 16LL * 1024 * 1024;
+  Controller controller(&disk, options);
+  controller.LoadBaseTables(workload::GenerateStringHeavyData(data_options));
+  workload::MvWorkload wl = workload::BuildStringHeavySynthetic(8);
+
+  const std::int64_t before = engine::CrossDictionaryFallbacks();
+  ASSERT_TRUE(controller.ProfileAndAnnotate(&wl).ok);
+  const auto result = opt::Optimizer{}.Optimize(wl.graph, options.budget);
+  EXPECT_FALSE(opt::FlaggedNodes(result.plan.flags).empty());
+  const RunReport report = controller.Run(wl, result.plan);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(engine::CrossDictionaryFallbacks(), before);
+
+  // Reference: the plans over plain-string twins of the base tables, in
+  // memory, in node order (the sink is the last node).
+  data_options.dictionary_encode = false;
+  engine::MapResolver reference;
+  for (const auto& [name, table] :
+       workload::GenerateStringHeavyData(data_options)) {
+    reference.Put(name, table);
+  }
+  for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
+    const std::string& name = wl.graph.node(v).name;
+    auto expected = std::make_shared<engine::Table>(
+        engine::ExecutePlan(*wl.plans[v], reference));
+    EXPECT_TRUE(disk.ReadTable(name) == *expected) << name;
+    reference.Put(name, std::move(expected));
+  }
 }
 
 TEST(ControllerTest, SynchronousMaterializationModeWorks) {

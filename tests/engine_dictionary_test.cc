@@ -14,6 +14,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -21,6 +22,7 @@
 #include "engine/operators.h"
 #include "engine/scalar_reference.h"
 #include "storage/format.h"
+#include "storage/shared_catalog.h"
 
 namespace sc::engine {
 namespace {
@@ -325,6 +327,135 @@ TEST(CompressedFormatTest, CompressedSmallerThanPlainOnRepetitiveStrings) {
   std::stringstream compressed;
   storage::WriteTableCompressed(t, compressed);
   EXPECT_LT(compressed.str().size(), plain_bytes / 3);
+}
+
+// ---- Content interning of dictionaries read from disk ----
+
+/// A category table whose string column is encoded over `dict`.
+Table OverDictionary(const Column::DictionaryPtr& dict,
+                     std::vector<std::int32_t> codes) {
+  std::vector<std::int64_t> ids(codes.size());
+  for (std::size_t r = 0; r < ids.size(); ++r) {
+    ids[r] = static_cast<std::int64_t>(r);
+  }
+  return Table(Schema({Field{"s", DataType::kString},
+                       Field{"id", DataType::kInt64}}),
+               {Column::FromDictionary(dict, std::move(codes)),
+                Column::FromInts(std::move(ids))});
+}
+
+Table ReadBack(const Table& t) {
+  std::stringstream buffer;
+  storage::WriteTableCompressed(t, buffer);
+  return storage::ReadTableCompressed(buffer);
+}
+
+TEST(DictionaryInternTest, IdenticalPagesShareOneDictionaryDistinctDoNot) {
+  const auto dir = std::filesystem::temp_directory_path() / "sc_intern_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  // Two files written from one domain dictionary, with different rows.
+  const auto domain = Column::MakeDictionary(EdgePool());
+  storage::WriteTableFileCompressed(OverDictionary(domain, {0, 3, 3, 7}),
+                                    (dir / "fact.scc").string());
+  storage::WriteTableFileCompressed(OverDictionary(domain, {3, 1}),
+                                    (dir / "dim.scc").string());
+  const Table fact =
+      storage::ReadTableFileCompressed((dir / "fact.scc").string());
+  const Table dim =
+      storage::ReadTableFileCompressed((dir / "dim.scc").string());
+  ASSERT_TRUE(fact.column(0).dictionary_encoded());
+  EXPECT_EQ(fact.column(0).dictionary(), dim.column(0).dictionary());
+  EXPECT_EQ(*fact.column(0).dictionary(), *domain);
+
+  // Joins and unions across the two reads stay on codes.
+  const std::int64_t fallbacks = CrossDictionaryFallbacks();
+  EXPECT_EQ(HashJoinTables(fact, dim, {"s"}, {"s"}).num_rows(), 2u);
+  const Table both = UnionAllTables(fact, dim);
+  EXPECT_EQ(both.column(0).dictionary(), fact.column(0).dictionary());
+  EXPECT_EQ(CrossDictionaryFallbacks(), fallbacks);
+
+  // A page of different content (one entry fewer) is its own object.
+  std::vector<std::string> fewer = EdgePool();
+  fewer.pop_back();
+  const Table other = ReadBack(
+      OverDictionary(Column::MakeDictionary(std::move(fewer)), {0, 1}));
+  EXPECT_NE(other.column(0).dictionary(), fact.column(0).dictionary());
+  // ...and mixing it in falls back to decoded strings, counted once per
+  // operator call.
+  HashJoinTables(fact, other, {"s"}, {"s"});
+  EXPECT_EQ(CrossDictionaryFallbacks(), fallbacks + 1);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DictionaryInternTest, SpillRefillReturnsTheLiveDictionary) {
+  const auto dir = std::filesystem::temp_directory_path() / "sc_intern_spill";
+  std::filesystem::remove_all(dir);
+  const auto domain = Column::MakeDictionary(EdgePool());
+  const Table resident = ReadBack(OverDictionary(domain, {1, 2, 3}));
+  const Column::DictionaryPtr live = resident.column(0).dictionary();
+  storage::SharedCatalog catalog(4096, 8,
+                                 storage::SpillOptions{dir.string(), 0});
+  ASSERT_TRUE(catalog.Publish(
+      1, std::make_shared<Table>(ReadBack(OverDictionary(domain, {4, 0}))),
+      3000));
+  ASSERT_TRUE(catalog.Publish(
+      2, std::make_shared<Table>(OverDictionary(domain, {6})), 3000));
+  ASSERT_EQ(catalog.spills(), 1);  // entry 1 went to disk
+  const TablePtr refilled = catalog.Pin(1);
+  ASSERT_NE(refilled, nullptr);
+  EXPECT_EQ(catalog.spill_refills(), 1);
+  EXPECT_EQ(refilled->column(0).dictionary(), live);
+  catalog.Unpin(1);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DictionaryInternTest, RegistryNeverKeepsDictionariesAlive) {
+  ASSERT_EQ(Column::LiveInternedDictionaries(), 0u);
+  {
+    const auto domain = Column::MakeDictionary(EdgePool());
+    const Table a = ReadBack(OverDictionary(domain, {0}));
+    const Table b = ReadBack(OverDictionary(domain, {1}));
+    const Table c =
+        ReadBack(OverDictionary(Column::MakeDictionary({"q"}), {0}));
+    EXPECT_EQ(Column::LiveInternedDictionaries(), 2u);
+  }
+  EXPECT_EQ(Column::LiveInternedDictionaries(), 0u);
+  // Churn well past the sweep threshold: only what is alive counts.
+  for (int i = 0; i < 100; ++i) {
+    const Table t = ReadBack(OverDictionary(
+        Column::MakeDictionary({"churn_" + std::to_string(i)}), {0}));
+    EXPECT_EQ(Column::LiveInternedDictionaries(), 1u);
+  }
+  EXPECT_EQ(Column::LiveInternedDictionaries(), 0u);
+}
+
+TEST(DictionaryInternTest, ConcurrentReadersInternToOneObject) {
+  const auto domain = Column::MakeDictionary(EdgePool());
+  std::stringstream buffer;
+  storage::WriteTableCompressed(OverDictionary(domain, {0, 1, 2, 3}), buffer);
+  const std::string bytes = buffer.str();
+  constexpr int kThreads = 4;
+  constexpr int kReadsPerThread = 50;
+  std::vector<std::vector<Table>> reads(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kReadsPerThread; ++i) {
+        std::stringstream in(bytes);
+        reads[static_cast<std::size_t>(t)].push_back(
+            storage::ReadTableCompressed(in));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const Column::DictionaryPtr first = reads[0][0].column(0).dictionary();
+  for (const std::vector<Table>& per_thread : reads) {
+    for (const Table& t : per_thread) {
+      EXPECT_EQ(t.column(0).dictionary(), first);
+    }
+  }
+  EXPECT_EQ(Column::LiveInternedDictionaries(), 1u);
 }
 
 }  // namespace

@@ -152,6 +152,31 @@ TEST(FormatTest, HostileHeaderCountsNeverOverAllocate) {
   EXPECT_THROW(Deserialize(lying), CorruptFileError);
 }
 
+// Dictionary pages are interned by content after verification: with a
+// live table holding the clean dictionary, every single-bit flip across
+// the page (count, entry lengths, entry bytes) still raises instead of
+// resolving to the live object.
+TEST(FormatTest, VerifiedReadDetectsBitFlipsInDictionaryPage) {
+  const std::string clean = Serialize(SampleTable());
+  const Table live = Deserialize(clean);
+  // The page starts at the varint entry count (3) right before the first
+  // entry ("", length 0) and ends with the last entry "utf8 ✓".
+  const std::string last_entry = "utf8 \xe2\x9c\x93";
+  const std::size_t page_end = clean.find(last_entry) + last_entry.size();
+  const std::size_t page_begin = clean.find("hello") - 3;
+  ASSERT_EQ(clean.substr(page_begin, 4),
+            std::string("\x03\x00\x05", 3) + "h");
+  for (std::size_t pos = page_begin; pos < page_end; ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string damaged = clean;
+      damaged[pos] ^= static_cast<char>(1 << bit);
+      EXPECT_THROW(Deserialize(damaged), CorruptFileError)
+          << "byte " << pos << " bit " << bit;
+    }
+  }
+  EXPECT_TRUE(live == SampleTable());
+}
+
 // Unverified mode still cross-checks the footer's row/column counts and
 // end marker, so swapping two files' tails (or garbage counts) is caught
 // without checksum arithmetic.
