@@ -68,7 +68,7 @@ int main() {
         r.reoptimized ? "[re-optimized]" : "");
   }
 
-  std::cout << "\nper-tenant metrics:\n" << service.metrics().FormatTable();
+  std::cout << "\nper-tenant metrics:\n" << FormatTable(service.metrics());
   std::cout << "\npeak concurrent Memory-Catalog reservation: "
             << FormatBytes(service.broker().peak_reserved_bytes()) << " / "
             << FormatBytes(options.global_budget) << " global budget\n";

@@ -49,7 +49,28 @@ double Histogram::sum() const {
 }
 
 std::vector<double> Histogram::LatencyBounds() {
-  return {0.001, 0.004, 0.016, 0.064, 0.25, 1.0, 4.0, 16.0, 64.0};
+  std::vector<double> bounds;
+  for (int k = 0; k <= 40; ++k) {
+    bounds.push_back(1e-4 * std::pow(2.0, k / 2.0));
+  }
+  return bounds;
+}
+
+double HistogramQuantile(double q, const std::vector<double>& bounds,
+                         const std::vector<std::int64_t>& cumulative) {
+  if (cumulative.back() == 0) return 0.0;
+  const double rank = q * static_cast<double>(cumulative.back());
+  double lower = 0.0;
+  double below = 0.0;  // observations under `lower`
+  for (std::size_t b = 0; b < bounds.size(); ++b) {
+    const double count = static_cast<double>(cumulative[b]);
+    if (count >= rank && count > below) {
+      return lower + (bounds[b] - lower) * (rank - below) / (count - below);
+    }
+    lower = bounds[b];
+    below = count;
+  }
+  return lower;  // rank in the +Inf bucket: the highest finite bound
 }
 
 // ---------------------------------------------------------------------------
@@ -63,10 +84,23 @@ std::string Registry::RenderLabels(const Labels& labels) {
   std::string out = "{";
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     if (i > 0) out += ",";
-    out += sorted[i].first + "=\"" + sorted[i].second + "\"";
+    out += sorted[i].first + "=\"";
+    for (const char c : sorted[i].second) {
+      if (c == '\\' || c == '"' || c == '\n') out += '\\';
+      out += c == '\n' ? 'n' : c;
+    }
+    out += "\"";
   }
   out += "}";
   return out;
+}
+
+double Registry::ScalarValue(const Series& series) {
+  if (series.counter != nullptr) {
+    return static_cast<double>(series.counter->value());
+  }
+  if (series.gauge != nullptr) return series.gauge->value();
+  return series.callback ? series.callback() : 0.0;
 }
 
 Registry::Series* Registry::GetSeriesLocked(const std::string& name,
@@ -172,15 +206,8 @@ std::string Registry::ToPrometheusText() const {
         out << name << "_count" << rendered << " " << h.count() << "\n";
         continue;
       }
-      double value = 0.0;
-      if (series.counter != nullptr) {
-        value = static_cast<double>(series.counter->value());
-      } else if (series.gauge != nullptr) {
-        value = series.gauge->value();
-      } else if (series.callback) {
-        value = series.callback();
-      }
-      out << name << rendered << " " << FormatValue(value) << "\n";
+      out << name << rendered << " " << FormatValue(ScalarValue(series))
+          << "\n";
     }
   }
   return out.str();
@@ -195,13 +222,8 @@ std::map<std::string, double> Registry::Snapshot() const {
         snapshot[name + "_count" + rendered] =
             static_cast<double>(series.histogram->count());
         snapshot[name + "_sum" + rendered] = series.histogram->sum();
-      } else if (series.counter != nullptr) {
-        snapshot[name + rendered] =
-            static_cast<double>(series.counter->value());
-      } else if (series.gauge != nullptr) {
-        snapshot[name + rendered] = series.gauge->value();
-      } else if (series.callback) {
-        snapshot[name + rendered] = series.callback();
+      } else {
+        snapshot[name + rendered] = ScalarValue(series);
       }
     }
   }

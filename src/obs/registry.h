@@ -40,6 +40,15 @@ class Gauge {
         std::memory_order_relaxed)) {
     }
   }
+  /// Raises the value to `v` when `v` is larger (high-water marks).
+  void SetMax(double v) {
+    std::uint64_t expected = bits_.load(std::memory_order_relaxed);
+    while (Decode(expected) < v &&
+           !bits_.compare_exchange_weak(expected, Encode(v),
+                                        std::memory_order_relaxed,
+                                        std::memory_order_relaxed)) {
+    }
+  }
   double value() const {
     return Decode(bits_.load(std::memory_order_relaxed));
   }
@@ -78,7 +87,9 @@ class Histogram {
   }
   double sum() const;
 
-  /// Default latency bounds: 1ms .. ~100s, roughly 4x apart.
+  /// Default latency bounds: 100us .. ~105s, sqrt(2) apart (41 bounds),
+  /// so a quantile interpolated by HistogramQuantile lies in the bucket
+  /// of the true value.
   static std::vector<double> LatencyBounds();
 
  private:
@@ -89,7 +100,15 @@ class Histogram {
   std::atomic<std::int64_t> sum_micros_{0};  // sum in 1e-6 units
 };
 
-/// Prometheus-style label set, rendered as {k="v",...} sorted by key.
+/// Prometheus `histogram_quantile` over Histogram::cumulative-style
+/// counts (index bounds.size() is the total): linear interpolation in the
+/// bucket holding rank q * total, from 0 in the lowest bucket; the
+/// highest finite bound for a rank in +Inf; 0 when empty.
+double HistogramQuantile(double q, const std::vector<double>& bounds,
+                         const std::vector<std::int64_t>& cumulative);
+
+/// Prometheus-style label set, rendered as {k="v",...} sorted by key,
+/// with `\`, `"` and newline escaped in values.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /// Unified metrics registry (ROADMAP observability layer): one namespace
@@ -149,6 +168,7 @@ class Registry {
   };
 
   static std::string RenderLabels(const Labels& labels);
+  static double ScalarValue(const Series& series);
   Series* GetSeriesLocked(const std::string& name,
                           const std::string& help, Kind kind,
                           Labels labels);

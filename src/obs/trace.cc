@@ -173,8 +173,6 @@ std::size_t TraceRecorder::event_count() const {
 // Chrome trace export
 // ---------------------------------------------------------------------------
 
-namespace {
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -195,6 +193,8 @@ std::string JsonEscape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 std::string JsonUnescape(const std::string& s) {
   std::string out;

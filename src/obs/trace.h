@@ -117,6 +117,11 @@ class TraceRecorder {
 void SetThreadTrack(std::string name);
 const std::string& ThreadTrack();
 
+/// `s` as the body of a JSON string literal: quotes, backslashes and
+/// control characters escaped. Callers building TraceEvent::args_json
+/// escape every string value with it.
+std::string JsonEscape(const std::string& s);
+
 /// Serializes every recorded event as Chrome/Perfetto `trace_event`
 /// JSON (one event per line inside "traceEvents"): load the file in
 /// chrome://tracing or ui.perfetto.dev to see the run as a per-track

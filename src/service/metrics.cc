@@ -1,41 +1,56 @@
 #include "service/metrics.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
+#include <iterator>
 #include <sstream>
+#include <vector>
 
 #include "common/bytes.h"
-#include "common/clock.h"
 #include "common/str_util.h"
 #include "common/table_printer.h"
+#include "service/service.h"
 
 namespace sc::service {
 
 namespace {
 
-std::string EscapeJsonString(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+/// The TenantMetrics field each JobStatus is read into besides
+/// jobs_failed, which counts every non-ok status.
+constexpr std::int64_t TenantMetrics::*kStatusFields[] = {
+    &TenantMetrics::jobs_completed, nullptr, &TenantMetrics::jobs_cancelled,
+    &TenantMetrics::jobs_timeout, &TenantMetrics::jobs_shed};
+static_assert(std::size(kStatusFields) == JobSeries::kStatuses);
+
+/// Per-tenant counters: series name, help, and the TenantMetrics field
+/// the series is read into. JobSeries::Record adds in this order.
+struct TenantCounter {
+  const char* name;
+  const char* help;
+  std::int64_t TenantMetrics::*field;
+};
+
+const TenantCounter kTenantCounters[] = {
+    {"sc_job_requested_bytes_total", "Memory-catalog bytes jobs asked for",
+     &TenantMetrics::bytes_requested},
+    {"sc_job_granted_bytes_total", "Memory-catalog bytes granted to jobs",
+     &TenantMetrics::bytes_granted},
+    {"sc_job_returned_bytes_total", "Granted bytes handed back mid-run",
+     &TenantMetrics::bytes_returned},
+    {"sc_job_catalog_hits_total", "Input resolutions served from memory",
+     &TenantMetrics::catalog_hits},
+    {"sc_job_catalog_misses_total", "Input resolutions read from disk",
+     &TenantMetrics::catalog_misses},
+    {"sc_job_cross_job_hits_total", "Resolutions served by other jobs",
+     &TenantMetrics::cross_job_hits},
+    {"sc_job_cross_job_saved_bytes_total", "Bytes cross-job hits saved",
+     &TenantMetrics::cross_job_bytes_saved},
+    {"sc_job_plan_cache_hits_total", "Jobs that ran without optimizing",
+     &TenantMetrics::plan_cache_hits},
+    {"sc_job_reoptimized_total", "Jobs re-optimized at grant or residency",
+     &TenantMetrics::reoptimizations},
+    {"sc_job_retries_total", "Per-node retries of transient failures",
+     &TenantMetrics::node_retries},
+};
+static_assert(std::size(kTenantCounters) == JobSeries::kCounters);
 
 }  // namespace
 
@@ -50,137 +65,113 @@ const char* JobStatusName(JobStatus status) {
   return "failed";
 }
 
-ServiceMetrics::ServiceMetrics(std::size_t max_samples)
-    : max_samples_(max_samples == 0 ? 1 : max_samples) {}
-
-void ServiceMetrics::Record(const JobObservation& observation) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  TenantState& state = tenants_[observation.tenant];
-  TenantMetrics& totals = state.totals;
-  if (observation.ok) {
-    ++totals.jobs_completed;
-  } else {
-    ++totals.jobs_failed;
-    switch (observation.status) {
-      case JobStatus::kCancelled: ++totals.jobs_cancelled; break;
-      case JobStatus::kTimeout: ++totals.jobs_timeout; break;
-      case JobStatus::kShed: ++totals.jobs_shed; break;
-      default: break;  // plain failure: no sub-bucket
-    }
+void JobSeries::Record(const JobResult& result) const {
+  jobs[static_cast<int>(result.status)]->Increment();
+  const runtime::RunReport& run = result.report;
+  const std::int64_t amounts[kCounters] = {  // kTenantCounters order
+      result.requested_budget, result.granted_budget, result.returned_budget,
+      run.catalog_hits, run.catalog_misses, run.cross_job_hits,
+      run.cross_job_bytes_saved, result.plan_cache_hit, result.reoptimized,
+      run.node_retries};
+  for (int i = 0; i < kCounters; ++i) {
+    if (amounts[i] != 0) counters[i]->Increment(amounts[i]);
   }
-  totals.total_queue_wait_seconds += observation.queue_wait_seconds;
-  totals.total_exec_seconds += observation.exec_seconds;
-  totals.bytes_requested += observation.requested_bytes;
-  totals.bytes_granted += observation.granted_bytes;
-  totals.bytes_returned += observation.returned_bytes;
-  totals.catalog_hits += observation.catalog_hits;
-  totals.catalog_misses += observation.catalog_misses;
-  totals.cross_job_hits += observation.cross_job_hits;
-  totals.cross_job_bytes_saved += observation.cross_job_bytes_saved;
-  if (observation.plan_cache_hit) ++totals.plan_cache_hits;
-  if (observation.reoptimized) ++totals.reoptimizations;
+  latency->Observe(result.queue_wait_seconds + result.exec_seconds);
+  queue_wait->Observe(result.queue_wait_seconds);
+  max_queue_wait->SetMax(result.queue_wait_seconds);
+  exec->Observe(result.exec_seconds);
+}
 
-  PriorityWaitStats& waits = priority_waits_[observation.priority];
-  ++waits.jobs;
-  waits.total_wait_seconds += observation.queue_wait_seconds;
-  waits.max_wait_seconds =
-      std::max(waits.max_wait_seconds, observation.queue_wait_seconds);
-
-  const double latency =
-      observation.queue_wait_seconds + observation.exec_seconds;
-  if (state.latencies.size() < max_samples_) {
-    state.latencies.push_back(latency);
-  } else {
-    state.latencies[state.next_slot] = latency;
-    state.next_slot = (state.next_slot + 1) % max_samples_;
+const JobSeries* JobMetrics::Resolve(const std::string& tenant,
+                                     int priority) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto [it, inserted] = series_.try_emplace({tenant, priority});
+  JobSeries& s = it->second;
+  if (!inserted) return &s;
+  const obs::Labels by_tenant = {{"tenant", tenant}};
+  const std::string level = std::to_string(priority);
+  for (int status = 0; status < JobSeries::kStatuses; ++status) {
+    s.jobs[status] = registry_->GetCounter(
+        "sc_jobs_total", "Finished refresh jobs",
+        {{"tenant", tenant},
+         {"status", JobStatusName(static_cast<JobStatus>(status))}});
   }
-}
-
-void ServiceMetrics::JobQueued(std::uint64_t job_id, int priority,
-                               double enqueue_seconds) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  queued_[job_id] = QueuedJob{priority, enqueue_seconds};
-}
-
-void ServiceMetrics::JobDequeued(std::uint64_t job_id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  queued_.erase(job_id);
-}
-
-double ServiceMetrics::StarvationSecondsLocked() const {
-  if (queued_.empty()) return 0.0;
-  const double now = MonotonicSeconds();
-  double worst = 0.0;
-  for (const auto& [id, job] : queued_) {
-    worst = std::max(worst, now - job.enqueue_seconds);
+  for (int i = 0; i < JobSeries::kCounters; ++i) {
+    s.counters[i] = registry_->GetCounter(
+        kTenantCounters[i].name, kTenantCounters[i].help, by_tenant);
   }
-  return worst;
+  s.degraded = registry_->GetCounter(
+      "sc_jobs_degraded_total",
+      "Jobs admitted at a reduced budget under overload", by_tenant);
+  s.latency = registry_->GetHistogram(
+      "sc_job_latency_seconds", "Queue wait + execution per job", by_tenant);
+  s.queue_wait = registry_->GetHistogram(
+      "sc_job_queue_wait_seconds",
+      "Admission-queue + budget-arbitration wait per job",
+      {{"tenant", tenant}, {"priority", level}});
+  s.max_queue_wait = registry_->GetGauge(
+      "sc_job_queue_wait_max_seconds", "Longest queue wait of a finished job",
+      {{"priority", level}});
+  s.exec = registry_->GetHistogram(
+      "sc_job_exec_seconds",
+      "Execution wall time per job (admission to finish)");
+  return &s;
 }
 
-double ServiceMetrics::StarvationSeconds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return StarvationSecondsLocked();
-}
-
-double ServiceMetrics::Percentile(const std::vector<double>& sorted,
-                                  double q) {
-  if (sorted.empty()) return 0.0;
-  const double rank = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
-  const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-TenantMetrics ServiceMetrics::Finalize(const TenantState& state) const {
-  TenantMetrics metrics = state.totals;
-  std::vector<double> sorted = state.latencies;
-  std::sort(sorted.begin(), sorted.end());
-  metrics.p50_latency_seconds = Percentile(sorted, 0.50);
-  metrics.p99_latency_seconds = Percentile(sorted, 0.99);
-  return metrics;
-}
-
-MetricsSnapshot ServiceMetrics::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+MetricsSnapshot JobMetrics::Read() const {
   MetricsSnapshot snapshot;
-  std::vector<double> all_latencies;
-  for (const auto& [tenant, state] : tenants_) {
-    snapshot.per_tenant[tenant] = Finalize(state);
-    const TenantMetrics& m = snapshot.per_tenant[tenant];
-    TenantMetrics& agg = snapshot.aggregate;
-    agg.jobs_completed += m.jobs_completed;
-    agg.jobs_failed += m.jobs_failed;
-    agg.jobs_cancelled += m.jobs_cancelled;
-    agg.jobs_timeout += m.jobs_timeout;
-    agg.jobs_shed += m.jobs_shed;
-    agg.total_queue_wait_seconds += m.total_queue_wait_seconds;
-    agg.total_exec_seconds += m.total_exec_seconds;
-    agg.bytes_requested += m.bytes_requested;
-    agg.bytes_granted += m.bytes_granted;
-    agg.bytes_returned += m.bytes_returned;
-    agg.catalog_hits += m.catalog_hits;
-    agg.catalog_misses += m.catalog_misses;
-    agg.cross_job_hits += m.cross_job_hits;
-    agg.cross_job_bytes_saved += m.cross_job_bytes_saved;
-    agg.plan_cache_hits += m.plan_cache_hits;
-    agg.reoptimizations += m.reoptimizations;
-    all_latencies.insert(all_latencies.end(), state.latencies.begin(),
-                         state.latencies.end());
+  auto add = [&snapshot](TenantMetrics* m,
+                         std::int64_t TenantMetrics::*field,
+                         const obs::Counter* counter) {
+    const std::int64_t n = counter->value();
+    m->*field += n;
+    snapshot.aggregate.*field += n;
+  };
+  // Latency quantiles per tenant, and for the aggregate over the bucket
+  // counts summed across tenants (all share the default bounds).
+  const std::vector<double> bounds = obs::Histogram::LatencyBounds();
+  std::vector<std::int64_t> all(bounds.size() + 1);
+  auto quantiles = [&bounds](const std::vector<std::int64_t>& cumulative,
+                             TenantMetrics* m) {
+    m->p50_latency_seconds = obs::HistogramQuantile(0.5, bounds, cumulative);
+    m->p99_latency_seconds = obs::HistogramQuantile(0.99, bounds, cumulative);
+  };
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [key, s] : series_) {
+    const auto& [tenant, priority] = key;
+    const bool first_of_tenant = snapshot.per_tenant.count(tenant) == 0;
+    TenantMetrics* m = &snapshot.per_tenant[tenant];
+    const double wait = s.queue_wait->sum();
+    m->total_queue_wait_seconds += wait;
+    snapshot.aggregate.total_queue_wait_seconds += wait;
+    PriorityWaitStats& level = snapshot.per_priority[priority];
+    level.jobs += s.queue_wait->count();
+    level.total_wait_seconds += wait;
+    level.max_wait_seconds = s.max_queue_wait->value();
+    // The remaining series are per tenant: shared by its priorities.
+    if (!first_of_tenant) continue;
+    for (int status = 0; status < JobSeries::kStatuses; ++status) {
+      if (status != static_cast<int>(JobStatus::kOk)) {
+        add(m, &TenantMetrics::jobs_failed, s.jobs[status]);
+      }
+      const auto field = kStatusFields[status];
+      if (field != nullptr) add(m, field, s.jobs[status]);
+    }
+    for (int i = 0; i < JobSeries::kCounters; ++i) {
+      add(m, kTenantCounters[i].field, s.counters[i]);
+    }
+    std::vector<std::int64_t> cumulative(all.size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      cumulative[i] = s.latency->cumulative(i);
+      all[i] += cumulative[i];
+    }
+    quantiles(cumulative, m);
   }
-  std::sort(all_latencies.begin(), all_latencies.end());
-  snapshot.aggregate.p50_latency_seconds =
-      Percentile(all_latencies, 0.50);
-  snapshot.aggregate.p99_latency_seconds =
-      Percentile(all_latencies, 0.99);
-  snapshot.per_priority = priority_waits_;
-  snapshot.starvation_seconds = StarvationSecondsLocked();
-  snapshot.queued_jobs = queued_.size();
+  quantiles(all, &snapshot.aggregate);
   return snapshot;
 }
 
-std::string ServiceMetrics::FormatTable() const {
-  const MetricsSnapshot snapshot = Snapshot();
+std::string FormatTable(const MetricsSnapshot& snapshot) {
   TablePrinter table({"tenant", "jobs", "failed", "cancel", "timeout",
                       "shed", "avg wait", "p50", "p99", "catalog hit%",
                       "xjob hit%", "xjob saved", "plan cache", "reopt"});
@@ -220,60 +211,6 @@ std::string ServiceMetrics::FormatTable() const {
   }
   out << StrFormat("\nqueued: %zu job(s), starvation %.3fs\n",
                    snapshot.queued_jobs, snapshot.starvation_seconds);
-  return out.str();
-}
-
-std::string ServiceMetrics::ToJson() const {
-  const MetricsSnapshot snapshot = Snapshot();
-  std::ostringstream out;
-  auto emit = [&](const TenantMetrics& m) {
-    out << "{\"jobs_completed\":" << m.jobs_completed
-        << ",\"jobs_failed\":" << m.jobs_failed
-        << ",\"jobs_cancelled\":" << m.jobs_cancelled
-        << ",\"jobs_timeout\":" << m.jobs_timeout
-        << ",\"jobs_shed\":" << m.jobs_shed
-        << ",\"mean_queue_wait_seconds\":"
-        << StrFormat("%.6f", m.mean_queue_wait_seconds())
-        << ",\"p50_latency_seconds\":"
-        << StrFormat("%.6f", m.p50_latency_seconds)
-        << ",\"p99_latency_seconds\":"
-        << StrFormat("%.6f", m.p99_latency_seconds)
-        << ",\"catalog_hit_rate\":"
-        << StrFormat("%.6f", m.catalog_hit_rate())
-        << ",\"cross_job_hits\":" << m.cross_job_hits
-        << ",\"cross_job_hit_rate\":"
-        << StrFormat("%.6f", m.cross_job_hit_rate())
-        << ",\"cross_job_bytes_saved\":" << m.cross_job_bytes_saved
-        << ",\"bytes_requested\":" << m.bytes_requested
-        << ",\"bytes_granted\":" << m.bytes_granted
-        << ",\"bytes_returned\":" << m.bytes_returned
-        << ",\"plan_cache_hits\":" << m.plan_cache_hits
-        << ",\"reoptimizations\":" << m.reoptimizations << "}";
-  };
-  out << "{\"aggregate\":";
-  emit(snapshot.aggregate);
-  out << ",\"tenants\":{";
-  bool first = true;
-  for (const auto& [tenant, metrics] : snapshot.per_tenant) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << EscapeJsonString(tenant) << "\":";
-    emit(metrics);
-  }
-  out << "},\"per_priority\":{";
-  first = true;
-  for (const auto& [priority, waits] : snapshot.per_priority) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << priority << "\":{\"jobs\":" << waits.jobs
-        << ",\"mean_wait_seconds\":"
-        << StrFormat("%.6f", waits.mean_wait_seconds())
-        << ",\"max_wait_seconds\":"
-        << StrFormat("%.6f", waits.max_wait_seconds) << "}";
-  }
-  out << "},\"queued_jobs\":" << snapshot.queued_jobs
-      << ",\"starvation_seconds\":"
-      << StrFormat("%.6f", snapshot.starvation_seconds) << "}";
   return out.str();
 }
 

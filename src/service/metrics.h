@@ -5,7 +5,9 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
+#include <utility>
+
+#include "obs/registry.h"
 
 namespace sc::service {
 
@@ -26,30 +28,10 @@ enum class JobStatus {
 /// "shed") used as the `status` label of sc_jobs_total.
 const char* JobStatusName(JobStatus status);
 
-/// One completed (or failed) job's observation, recorded by the service.
-struct JobObservation {
-  std::string tenant;
-  int priority = 0;
-  bool ok = false;
-  /// Terminal disposition; ok == (status == JobStatus::kOk).
-  JobStatus status = JobStatus::kFailed;
-  double queue_wait_seconds = 0.0;
-  double exec_seconds = 0.0;
-  std::int64_t requested_bytes = 0;
-  std::int64_t granted_bytes = 0;
-  /// Bytes handed back to the BudgetBroker mid-run (grant renegotiation).
-  std::int64_t returned_bytes = 0;
-  std::int64_t catalog_hits = 0;
-  std::int64_t catalog_misses = 0;
-  /// Resolutions / node reuses served from the cross-job SharedCatalog
-  /// (subset of catalog_hits) and the bytes they saved.
-  std::int64_t cross_job_hits = 0;
-  std::int64_t cross_job_bytes_saved = 0;
-  bool plan_cache_hit = false;
-  bool reoptimized = false;
-};
+struct JobResult;
 
-/// Aggregated view for one tenant (or the whole service).
+/// One tenant's (or the whole service's) view of its job series; see
+/// JobMetrics::Read.
 struct TenantMetrics {
   std::int64_t jobs_completed = 0;
   /// Every non-ok job (errors + cancelled + timeout + shed), preserving
@@ -60,20 +42,21 @@ struct TenantMetrics {
   std::int64_t jobs_timeout = 0;
   std::int64_t jobs_shed = 0;
   double total_queue_wait_seconds = 0.0;
-  double total_exec_seconds = 0.0;
   std::int64_t bytes_requested = 0;
   std::int64_t bytes_granted = 0;
   /// Bytes handed back mid-run via BudgetBroker::ReturnUnused.
   std::int64_t bytes_returned = 0;
   std::int64_t catalog_hits = 0;
   std::int64_t catalog_misses = 0;
-  /// Cross-job sharing gauges: resolutions served from another job's
-  /// resident outputs, and the disk/recompute bytes that saved.
+  /// Resolutions served from another job's shared outputs, and the
+  /// disk/recompute bytes that saved.
   std::int64_t cross_job_hits = 0;
   std::int64_t cross_job_bytes_saved = 0;
   std::int64_t plan_cache_hits = 0;
   std::int64_t reoptimizations = 0;
-  double p50_latency_seconds = 0.0;  // latency = queue wait + execution
+  std::int64_t node_retries = 0;
+  /// Queue wait + execution, interpolated in sc_job_latency_seconds.
+  double p50_latency_seconds = 0.0;
   double p99_latency_seconds = 0.0;
 
   std::int64_t jobs_total() const { return jobs_completed + jobs_failed; }
@@ -91,11 +74,6 @@ struct TenantMetrics {
     const std::int64_t total = catalog_hits + catalog_misses;
     return total == 0 ? 0.0
                       : static_cast<double>(cross_job_hits) / total;
-  }
-  /// Jobs per second of busy execution time (not wall time).
-  double throughput_jobs_per_second() const {
-    return total_exec_seconds <= 0.0 ? 0.0
-                                     : jobs_completed / total_exec_seconds;
   }
 };
 
@@ -115,64 +93,50 @@ struct PriorityWaitStats {
 struct MetricsSnapshot {
   TenantMetrics aggregate;
   std::map<std::string, TenantMetrics> per_tenant;
-  /// Completed-job queue waits by priority level.
   std::map<int, PriorityWaitStats> per_priority;
-  /// Starvation gauge: the longest wait among jobs queued *right now*
-  /// (submitted, not yet admitted to run). 0 when nothing is queued.
+  /// sc_starvation_seconds and sc_queue_depth (RefreshService::metrics).
   double starvation_seconds = 0.0;
   std::size_t queued_jobs = 0;
 };
 
-/// Thread-safe metrics registry for the Refresh Service: per-tenant
-/// throughput, queue wait, catalog hit rate, and latency percentiles.
-/// Latency samples are retained per tenant (bounded by `max_samples`) so
-/// percentiles are exact until the bound, then computed over the most
-/// recent window.
-class ServiceMetrics {
+/// The registry series one (tenant, priority) pair's finished jobs are
+/// counted in. Pointers are owned by the registry and stable.
+struct JobSeries {
+  static constexpr int kStatuses = 5;
+  static constexpr int kCounters = 10;
+  obs::Counter* jobs[kStatuses] = {};  // sc_jobs_total by JobStatus
+  obs::Counter* counters[kCounters] = {};  // per-tenant *_total counters
+  obs::Counter* degraded = nullptr;        // sc_jobs_degraded_total
+  obs::Histogram* latency = nullptr;       // sc_job_latency_seconds
+  obs::Histogram* queue_wait = nullptr;    // sc_job_queue_wait_seconds
+  obs::Gauge* max_queue_wait = nullptr;    // sc_job_queue_wait_max_seconds
+  obs::Histogram* exec = nullptr;          // sc_job_exec_seconds
+
+  /// Counts one finished (or failed) job: relaxed atomic bumps only.
+  void Record(const JobResult& result) const;
+};
+
+/// The service's job-outcome series: resolved in `registry` once per
+/// (tenant, priority) pair, so recording a job renders no labels and
+/// takes no registry lock, and read back as a MetricsSnapshot.
+class JobMetrics {
  public:
-  explicit ServiceMetrics(std::size_t max_samples = 65536);
+  explicit JobMetrics(obs::Registry* registry) : registry_(registry) {}
 
-  void Record(const JobObservation& observation);
-
-  /// Live-queue tracking behind the starvation gauge: the service reports
-  /// a job when it enters the admission queue and again once it holds its
-  /// budget grant (or fails). `enqueue_seconds` is a monotonic timestamp
-  /// comparable to the gauge's own clock.
-  void JobQueued(std::uint64_t job_id, int priority,
-                 double enqueue_seconds);
-  void JobDequeued(std::uint64_t job_id);
-  /// Longest wait among currently queued jobs; 0 when none are queued.
-  double StarvationSeconds() const;
-
-  MetricsSnapshot Snapshot() const;
-
-  /// Aligned per-tenant table (plus per-priority waits and the
-  /// starvation gauge) for operators.
-  std::string FormatTable() const;
-  /// Machine-readable dump (stable key order) for benches and CI.
-  std::string ToJson() const;
+  const JobSeries* Resolve(const std::string& tenant, int priority);
+  /// Per-tenant and per-priority view of the series (queue fields 0);
+  /// p50/p99 are interpolated within a latency bucket.
+  MetricsSnapshot Read() const;
 
  private:
-  struct TenantState {
-    TenantMetrics totals;
-    std::vector<double> latencies;  // ring buffer once max_samples reached
-    std::size_t next_slot = 0;
-  };
-  struct QueuedJob {
-    int priority = 0;
-    double enqueue_seconds = 0.0;
-  };
-
-  static double Percentile(const std::vector<double>& sorted, double q);
-  TenantMetrics Finalize(const TenantState& state) const;
-  double StarvationSecondsLocked() const;
-
-  const std::size_t max_samples_;
+  obs::Registry* const registry_;
   mutable std::mutex mutex_;
-  std::map<std::string, TenantState> tenants_;
-  std::map<int, PriorityWaitStats> priority_waits_;
-  std::map<std::uint64_t, QueuedJob> queued_;
+  std::map<std::pair<std::string, int>, JobSeries> series_;
 };
+
+/// Aligned per-tenant table (plus per-priority waits and the starvation
+/// gauge) for operators.
+std::string FormatTable(const MetricsSnapshot& snapshot);
 
 }  // namespace sc::service
 

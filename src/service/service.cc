@@ -193,15 +193,34 @@ void RefreshService::RegisterComponentGauges() {
       {"sc_queue_depth", "Jobs waiting in the admission queue",
        [this] { return static_cast<double>(queue_depth()); }},
       {"sc_starvation_seconds",
-       "Longest wait among jobs queued right now",
-       [this] { return metrics_.StarvationSeconds(); }},
+       "Longest wait among jobs not yet admitted to run",
+       [this] { return StarvationSeconds(); }},
   };
   for (const Mirror& m : mirrors) {
     registry_.RegisterCallbackGauge(m.name, m.help, {}, m.fn);
   }
 }
 
+double RefreshService::StarvationSeconds() const {
+  const double now = MonotonicSeconds();
+  double worst = 0.0;
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [id, job] : active_jobs_) {
+    if (job->admit_seconds.load(std::memory_order_relaxed) == 0.0) {
+      worst = std::max(worst, now - job->submit_seconds);
+    }
+  }
+  return worst;
+}
+
 RefreshService::~RefreshService() { Shutdown(/*drain=*/true); }
+
+MetricsSnapshot RefreshService::metrics() const {
+  MetricsSnapshot snapshot = job_metrics_.Read();
+  snapshot.starvation_seconds = StarvationSeconds();
+  snapshot.queued_jobs = queue_depth();
+  return snapshot;
+}
 
 std::future<JobResult> RefreshService::Submit(RefreshJobSpec spec) {
   return SubmitJob(std::move(spec)).future;
@@ -217,6 +236,9 @@ RefreshService::JobHandle RefreshService::SubmitJob(RefreshJobSpec spec) {
   job->spec = std::move(spec);
   job->submit_seconds = MonotonicSeconds();
   job->fingerprint = fingerprint;
+  // Resolved outside mutex_: the registry's callback gauges take mutex_
+  // under the registry lock.
+  job->series = job_metrics_.Resolve(job->spec.tenant, job->spec.priority);
   if (job->spec.deadline_seconds > 0.0) {
     // The deadline clock starts at submit: queue time counts against it.
     job->cancel.SetDeadline(job->submit_seconds +
@@ -232,7 +254,6 @@ RefreshService::JobHandle RefreshService::SubmitJob(RefreshJobSpec spec) {
     }
     job->id = next_job_id_++;
     handle.job_id = job->id;
-    metrics_.JobQueued(job->id, job->spec.priority, job->submit_seconds);
     active_jobs_[job->id] = job;
     queue_.push(std::move(job));
   }
@@ -319,28 +340,16 @@ void RefreshService::FailJob(Job& job, const std::string& error,
                                       : runtime::CancelReason::kCancelled;
   }
   const double now = MonotonicSeconds();
-  if (job.admit_seconds > 0.0) {
+  const double admit_seconds = job.admit_seconds.load();
+  if (admit_seconds > 0.0) {
     // The job died mid-execution: time past admission is execution, not
     // queue wait.
-    result.queue_wait_seconds = job.admit_seconds - job.submit_seconds;
-    result.exec_seconds = now - job.admit_seconds;
+    result.queue_wait_seconds = admit_seconds - job.submit_seconds;
+    result.exec_seconds = now - admit_seconds;
   } else {
     result.queue_wait_seconds = now - job.submit_seconds;
   }
-  metrics_.JobDequeued(job.id);
-  JobObservation observation;
-  observation.tenant = result.tenant;
-  observation.priority = job.spec.priority;
-  observation.ok = false;
-  observation.status = status;
-  observation.queue_wait_seconds = result.queue_wait_seconds;
-  observation.exec_seconds = result.exec_seconds;
-  metrics_.Record(observation);
-  registry_
-      .GetCounter("sc_jobs_total", "Finished refresh jobs",
-                  {{"tenant", result.tenant},
-                   {"status", JobStatusName(status)}})
-      ->Increment();
+  job.series->Record(result);
   ForgetJob(job.id);
   job.promise.set_value(std::move(result));
 }
@@ -411,7 +420,7 @@ JobResult RefreshService::Execute(Job& job) {
   if (tracing) {
     job_args = StrFormat("\"job\":%llu,\"tenant\":\"%s\"",
                          static_cast<unsigned long long>(job.id),
-                         job.spec.tenant.c_str());
+                         obs::JsonEscape(job.spec.tenant).c_str());
     trace_->Complete("job", "queued", job.submit_seconds,
                      picked_up_seconds - job.submit_seconds, job_args);
   }
@@ -429,11 +438,7 @@ JobResult RefreshService::Execute(Job& job) {
         1, static_cast<std::int64_t>(
                static_cast<double>(budget_to_request) * fraction));
     if (budget_to_request < result.requested_budget) {
-      registry_
-          .GetCounter("sc_jobs_degraded_total",
-                      "Jobs admitted at a reduced budget under overload",
-                      {{"tenant", result.tenant}})
-          ->Increment();
+      job.series->degraded->Increment();
     }
   }
 
@@ -441,19 +446,18 @@ JobResult RefreshService::Execute(Job& job) {
                                       job.spec.priority, &job.cancel);
   // Queue wait covers both the admission queue and budget arbitration:
   // the job is "waiting" until it holds everything it needs to run.
-  job.admit_seconds = MonotonicSeconds();
+  const double exec_start = MonotonicSeconds();
+  job.admit_seconds.store(exec_start);
   if (tracing) {
     trace_->Complete("job", "wait-budget", picked_up_seconds,
-                     job.admit_seconds - picked_up_seconds, job_args);
+                     exec_start - picked_up_seconds, job_args);
     trace_->Instant(
         "budget", "grant",
         job_args + StrFormat(",\"bytes\":%lld",
                              static_cast<long long>(grant.bytes)));
   }
-  metrics_.JobDequeued(job.id);
-  result.queue_wait_seconds = job.admit_seconds - job.submit_seconds;
+  result.queue_wait_seconds = exec_start - job.submit_seconds;
   result.granted_budget = grant.bytes;
-  const double exec_start = job.admit_seconds;
   int lanes = 0;
 
   if (!grant.valid() && job.cancel.cancelled()) {
@@ -617,8 +621,6 @@ JobResult RefreshService::Execute(Job& job) {
     lanes = lanes_broker_.AcquireLanes(width);
     result.lanes = lanes;
     runtime::ControllerOptions controller_options;
-    controller_options.background_materialize =
-        options_.background_materialize;
     controller_options.max_parallel_nodes = lanes;
     controller_options.inline_node_cost_seconds =
         options_.inline_node_cost_seconds;
@@ -726,44 +728,7 @@ JobResult RefreshService::FinishJob(Job& job, JobResult result,
                  : JobStatus::kCancelled)
           : JobStatus::kFailed;
 
-  registry_
-      .GetCounter("sc_jobs_total", "Finished refresh jobs",
-                  {{"tenant", result.tenant},
-                   {"status", JobStatusName(result.status)}})
-      ->Increment();
-  if (result.report.node_retries > 0) {
-    registry_
-        .GetCounter("sc_job_retries_total",
-                    "Per-node retries of transient failures",
-                    {{"tenant", result.tenant}})
-        ->Increment(result.report.node_retries);
-  }
-  registry_
-      .GetHistogram("sc_job_queue_wait_seconds",
-                    "Admission-queue + budget-arbitration wait per job")
-      ->Observe(result.queue_wait_seconds);
-  registry_
-      .GetHistogram("sc_job_exec_seconds",
-                    "Execution wall time per job (admission to finish)")
-      ->Observe(result.exec_seconds);
-
-  JobObservation observation;
-  observation.tenant = result.tenant;
-  observation.priority = job.spec.priority;
-  observation.ok = result.report.ok;
-  observation.status = result.status;
-  observation.queue_wait_seconds = result.queue_wait_seconds;
-  observation.exec_seconds = result.exec_seconds;
-  observation.requested_bytes = result.requested_budget;
-  observation.granted_bytes = result.granted_budget;
-  observation.returned_bytes = result.returned_budget;
-  observation.catalog_hits = result.report.catalog_hits;
-  observation.catalog_misses = result.report.catalog_misses;
-  observation.cross_job_hits = result.report.cross_job_hits;
-  observation.cross_job_bytes_saved = result.report.cross_job_bytes_saved;
-  observation.plan_cache_hit = result.plan_cache_hit;
-  observation.reoptimized = result.reoptimized;
-  metrics_.Record(observation);
+  job.series->Record(result);
   return result;
 }
 

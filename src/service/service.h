@@ -1,6 +1,7 @@
 #ifndef SC_SERVICE_SERVICE_H_
 #define SC_SERVICE_SERVICE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <future>
@@ -96,8 +97,6 @@ struct ServiceOptions {
   /// Content-fingerprint salt (a data epoch): bump it to invalidate
   /// every cross-job match, e.g. after base tables change.
   std::uint64_t shared_epoch = 0;
-  /// Forwarded to each worker's Controller.
-  bool background_materialize = true;
   /// Optimizer configuration used when a job misses the plan cache.
   opt::AlternatingOptions optimizer;
   /// Observability trace recorder (obs::TraceRecorder) every job's
@@ -252,7 +251,9 @@ class RefreshService {
 
   void SetTenantQuota(const std::string& tenant, std::int64_t quota_bytes);
 
-  const ServiceMetrics& metrics() const { return metrics_; }
+  /// Per-tenant / per-priority view over the job series in registry():
+  /// latency quantiles, waits, hit rates and the starvation gauge.
+  MetricsSnapshot metrics() const;
   const BudgetBroker& broker() const { return broker_; }
   const ParallelismBroker& lanes_broker() const { return lanes_broker_; }
   /// The service-wide executor pool every job's parallel run borrows its
@@ -269,8 +270,8 @@ class RefreshService {
   }
   std::size_t queue_depth() const;
   const ServiceOptions& options() const { return options_; }
-  /// Unified metrics registry (tentpole of the observability layer):
-  /// job counters and latency histograms recorded by the service, plus
+  /// The service's only metrics store: per-tenant job counters and
+  /// latency / wait histograms recorded once per finished job, plus
   /// callback gauges mirroring the LanePool, SharedCatalog, BudgetBroker,
   /// and PlanCache counters. See README "Observability" for the full
   /// metric-name table.
@@ -291,9 +292,13 @@ class RefreshService {
     std::promise<JobResult> promise;
     double submit_seconds = 0.0;
     /// Set once the budget grant is held; lets FailJob split queue wait
-    /// from execution time for jobs that die mid-run.
-    double admit_seconds = 0.0;
+    /// from execution time for jobs that die mid-run. 0 while the job
+    /// waits, which is what the starvation gauge scans for.
+    std::atomic<double> admit_seconds{0.0};
     std::uint64_t fingerprint = 0;
+    /// The registry series this job's outcome is counted in, resolved at
+    /// Submit.
+    const JobSeries* series = nullptr;
     /// Cooperative cancellation flag shared by Cancel(), the deadline,
     /// and the job's Controller. Lives as long as the Job (shared_ptr),
     /// so a late Cancel() after completion touches valid memory.
@@ -313,13 +318,13 @@ class RefreshService {
   JobResult Execute(Job& job);
   /// Common terminal bookkeeping for Execute paths: derives
   /// JobResult::status from the report, emits the trace tail, and
-  /// records registry counters plus the metrics observation.
+  /// records the job in its registry series.
   /// `held_grant` gates the budget-release trace instant (false on the
   /// cancelled-while-waiting path, where no grant was ever held).
   JobResult FinishJob(Job& job, JobResult result, double exec_start,
                       const std::string& trace_args, bool held_grant);
   /// Resolves `job`'s promise with a failed report and records the
-  /// failure in the metrics registry.
+  /// failure in the job's registry series.
   void FailJob(Job& job, const std::string& error,
                JobStatus status = JobStatus::kFailed);
   /// Drops `job.id` from the cancellation registry (terminal states
@@ -328,6 +333,9 @@ class RefreshService {
   /// Wires the callback gauges mirroring LanePool / SharedCatalog /
   /// BudgetBroker / PlanCache monitoring counters into registry_.
   void RegisterComponentGauges();
+  /// Longest wait among active jobs not yet admitted
+  /// (sc_starvation_seconds).
+  double StarvationSeconds() const;
 
   storage::ThrottledDisk* disk_;
   const ServiceOptions options_;
@@ -337,7 +345,6 @@ class RefreshService {
   runtime::LanePool lane_pool_;
   PlanCache plan_cache_;
   storage::SharedCatalog shared_catalog_;
-  ServiceMetrics metrics_;
   /// Owned recorder behind ServiceOptions::trace_path (null when the
   /// caller supplied one or tracing is off).
   std::unique_ptr<obs::TraceRecorder> owned_trace_;
@@ -346,6 +353,7 @@ class RefreshService {
   /// lane_pool_ / shared_catalog_ / broker_ / plan_cache_, so it must be
   /// destroyed first.
   obs::Registry registry_;
+  JobMetrics job_metrics_{&registry_};
   bool trace_written_ = false;
 
   mutable std::mutex mutex_;

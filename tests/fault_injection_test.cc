@@ -157,7 +157,7 @@ TEST(FaultInjectionTest, ChaosEverySiteInvariantsHold) {
   }
 
   // The disposition taxonomy reached the metrics layer.
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
+  const MetricsSnapshot snapshot = service.metrics();
   EXPECT_EQ(snapshot.aggregate.jobs_completed, ok);
   EXPECT_EQ(snapshot.aggregate.jobs_failed, failed);
 }
@@ -200,9 +200,11 @@ TEST(FaultInjectionTest, CancelQueuedJobReleasesEverything) {
   service.Shutdown();
   EXPECT_EQ(service.broker().reserved_bytes(), 0);
   EXPECT_EQ(service.shared_catalog().pinned_bytes(), 0);
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
+  const MetricsSnapshot snapshot = service.metrics();
   EXPECT_EQ(snapshot.aggregate.jobs_cancelled, 1);
-  EXPECT_NE(service.PrometheusText().find("status=\"cancelled\""),
+  EXPECT_NE(service.PrometheusText().find(
+                "sc_jobs_total{status=\"cancelled\","
+                "tenant=\"default\"} 1\n"),
             std::string::npos);
 }
 
@@ -278,9 +280,11 @@ TEST(FaultInjectionTest, DeadlineExpiredJobTimesOut) {
 
   service.Shutdown();
   EXPECT_EQ(service.broker().reserved_bytes(), 0);
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
+  const MetricsSnapshot snapshot = service.metrics();
   EXPECT_EQ(snapshot.aggregate.jobs_timeout, 1);
-  EXPECT_NE(service.PrometheusText().find("status=\"timeout\""),
+  EXPECT_NE(service.PrometheusText().find(
+                "sc_jobs_total{status=\"timeout\","
+                "tenant=\"default\"} 1\n"),
             std::string::npos);
 }
 
@@ -304,9 +308,11 @@ TEST(FaultInjectionTest, QueueWaitSheddingDropsStaleJobs) {
                                           // token cancel
 
   service.Shutdown();
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
+  const MetricsSnapshot snapshot = service.metrics();
   EXPECT_EQ(snapshot.aggregate.jobs_shed, 1);
-  EXPECT_NE(service.PrometheusText().find("status=\"shed\""),
+  EXPECT_NE(service.PrometheusText().find(
+                "sc_jobs_total{status=\"shed\","
+                "tenant=\"default\"} 1\n"),
             std::string::npos);
 }
 
@@ -344,7 +350,9 @@ TEST(FaultInjectionTest, TransientFaultWithRetriesIsBitIdentical) {
   EXPECT_EQ(result.status, JobStatus::kOk) << result.report.error;
   EXPECT_EQ(faults.total_fires(), 2);
   EXPECT_GT(result.report.node_retries, 0);
-  EXPECT_NE(service.PrometheusText().find("sc_job_retries_total"),
+  EXPECT_NE(service.PrometheusText().find(
+                "sc_job_retries_total{tenant=\"default\"} " +
+                std::to_string(result.report.node_retries) + "\n"),
             std::string::npos);
   service.Shutdown();
   disk.SetFaultInjector(nullptr);
@@ -391,8 +399,9 @@ TEST(FaultInjectionTest, OverloadDegradesBudgetRequests) {
     degraded |= result.granted_budget <= options.global_budget / 2;
   }
   EXPECT_TRUE(degraded);
-  EXPECT_NE(service.PrometheusText().find("sc_jobs_degraded_total"),
-            std::string::npos);
+  EXPECT_GT(service.registry().Snapshot().at(
+                "sc_jobs_degraded_total{tenant=\"default\"}"),
+            0.0);
   service.Shutdown();
   EXPECT_EQ(service.broker().reserved_bytes(), 0);
 }

@@ -134,7 +134,12 @@ TEST(LanePoolTest, ConcurrentSubmitStress) {
     });
   }
   for (auto& p : producers) p.join();
-  WaitFor([&] { return done.load() == kProducers * kPerProducer; });
+  // A lane counts a task only after it returns and the lane re-takes the
+  // pool lock, so the counter may trail `done` briefly: wait for both.
+  WaitFor([&] {
+    return done.load() == kProducers * kPerProducer &&
+           pool.tasks_completed() == kProducers * kPerProducer;
+  });
   EXPECT_EQ(done.load(), kProducers * kPerProducer);
   EXPECT_EQ(pool.tasks_completed(), kProducers * kPerProducer);
 }

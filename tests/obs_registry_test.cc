@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +33,21 @@ TEST(Gauge, SetAndAdd) {
   EXPECT_DOUBLE_EQ(gauge.value(), -2.0);
 }
 
+TEST(Gauge, SetMaxKeepsTheHighWaterMark) {
+  Gauge gauge;
+  gauge.SetMax(3.0);
+  gauge.SetMax(1.0);
+  EXPECT_DOUBLE_EQ(gauge.value(), 3.0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&gauge, t] {
+      for (int i = 0; i < 1000; ++i) gauge.SetMax(t * 1000 + i);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_DOUBLE_EQ(gauge.value(), 3999.0);
+}
+
 TEST(Gauge, ConcurrentAddLosesNothing) {
   Gauge gauge;
   std::vector<std::thread> threads;
@@ -57,6 +73,34 @@ TEST(Histogram, CumulativeBucketsAndSum) {
   EXPECT_EQ(h.cumulative(2), 4);
   EXPECT_EQ(h.cumulative(3), 5);  // +Inf bucket == count
   EXPECT_NEAR(h.sum(), 5.605, 1e-6);
+}
+
+TEST(Histogram, LatencyBoundsAreAtMostSqrt2Apart) {
+  const std::vector<double> bounds = Histogram::LatencyBounds();
+  EXPECT_DOUBLE_EQ(bounds.front(), 1e-4);
+  EXPECT_GE(bounds.back(), 100.0);
+  for (std::size_t i = 1; i < bounds.size(); ++i) {
+    EXPECT_LE(bounds[i] / bounds[i - 1], std::sqrt(2.0) * (1 + 1e-12)) << i;
+  }
+}
+
+TEST(Histogram, QuantileInterpolatesWithinTheBucket) {
+  // Prometheus histogram_quantile: 10 observations <= 1, 10 in (1, 2].
+  Histogram h({1.0, 2.0, 4.0});
+  for (int i = 0; i < 10; ++i) h.Observe(0.5);
+  for (int i = 0; i < 10; ++i) h.Observe(1.5);
+  std::vector<std::int64_t> cumulative;
+  for (std::size_t i = 0; i <= h.bounds().size(); ++i) {
+    cumulative.push_back(h.cumulative(i));
+  }
+  EXPECT_DOUBLE_EQ(HistogramQuantile(0.5, h.bounds(), cumulative), 1.0);
+  EXPECT_DOUBLE_EQ(HistogramQuantile(0.25, h.bounds(), cumulative), 0.5);
+  EXPECT_DOUBLE_EQ(HistogramQuantile(0.75, h.bounds(), cumulative), 1.5);
+  // A rank in the +Inf bucket reports the highest finite bound.
+  h.Observe(100.0);
+  cumulative.back() = h.count();
+  EXPECT_DOUBLE_EQ(HistogramQuantile(0.99, h.bounds(), cumulative), 4.0);
+  EXPECT_DOUBLE_EQ(HistogramQuantile(0.5, {1.0}, {0, 0}), 0.0);
 }
 
 TEST(Registry, SameNameAndLabelsReturnsSameSeries) {
@@ -104,6 +148,16 @@ TEST(Registry, PrometheusGoldenText) {
       "sc_wait_seconds_sum 3\n"
       "sc_wait_seconds_count 3\n";
   EXPECT_EQ(ToPrometheusText(registry), expected);
+}
+
+TEST(Registry, LabelValuesAreEscaped) {
+  Registry registry;
+  registry.GetCounter("jobs_total", "", {{"tenant", "acme\"prod\\eu\nx"}})
+      ->Increment();
+  EXPECT_NE(registry.ToPrometheusText().find(
+                "jobs_total{tenant=\"acme\\\"prod\\\\eu\\nx\"} 1\n"),
+            std::string::npos)
+      << registry.ToPrometheusText();
 }
 
 TEST(Registry, SnapshotAndDelta) {

@@ -434,5 +434,31 @@ TEST(ServiceTraceTest, TracePathWritesLoadableFileAtShutdown) {
   EXPECT_GT(analysis.jobs.begin()->second.executing_seconds, 0.0);
 }
 
+TEST(ServiceTraceTest, TenantWithQuotesSurvivesTraceRoundTrip) {
+  // No base tables: the job fails in execution, after its job spans.
+  storage::ThrottledDisk disk(FreshDir("tenant_escape"), FastDisk());
+  auto wl = std::make_shared<workload::MvWorkload>(workload::BuildIo1());
+  const std::string tenant = "acme\"prod\\eu";
+  TraceRecorder recorder;
+  {
+    ServiceOptions options;
+    options.num_workers = 1;
+    options.trace = &recorder;
+    RefreshService service(&disk, options);
+    RefreshJobSpec spec;
+    spec.workload = wl;
+    spec.tenant = tenant;
+    EXPECT_FALSE(service.Submit(spec).get().report.ok);
+  }
+  std::stringstream json;
+  WriteChromeTrace(recorder, json);
+  std::vector<TraceEvent> events;
+  std::string error;
+  ASSERT_TRUE(LoadChromeTrace(json, &events, &error)) << error;
+  const TraceAnalysis analysis = AnalyzeTrace(events);
+  ASSERT_EQ(analysis.jobs.size(), 1u);
+  EXPECT_EQ(analysis.jobs.begin()->second.tenant, tenant);
+}
+
 }  // namespace
 }  // namespace sc::obs

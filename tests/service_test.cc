@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "runtime/controller.h"
@@ -81,7 +83,7 @@ TEST(RefreshServiceTest, StressConcurrentTenantsNeverExceedGlobalBudget) {
   service.Shutdown();
   EXPECT_EQ(service.broker().reserved_bytes(), 0);
 
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
+  const MetricsSnapshot snapshot = service.metrics();
   EXPECT_EQ(snapshot.aggregate.jobs_completed, kJobs);
   EXPECT_EQ(snapshot.aggregate.jobs_failed, 0);
   EXPECT_EQ(snapshot.per_tenant.size(), 3u);
@@ -150,12 +152,16 @@ TEST(RefreshServiceTest, CatalogStatsFlowIntoMetrics) {
   EXPECT_GT(result.report.catalog_hits, 0);
   EXPECT_GT(result.report.CatalogHitRate(), 0.0);
 
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
+  const MetricsSnapshot snapshot = service.metrics();
   const auto it = snapshot.per_tenant.find("stats");
   ASSERT_NE(it, snapshot.per_tenant.end());
   EXPECT_GT(it->second.catalog_hit_rate(), 0.0);
-  EXPECT_FALSE(service.metrics().ToJson().empty());
-  EXPECT_FALSE(service.metrics().FormatTable().empty());
+  EXPECT_EQ(it->second.catalog_hits, result.report.catalog_hits);
+  EXPECT_NE(service.PrometheusText().find(
+                "sc_job_catalog_hits_total{tenant=\"stats\"} " +
+                std::to_string(result.report.catalog_hits) + "\n"),
+            std::string::npos);
+  EXPECT_NE(FormatTable(snapshot).find("stats"), std::string::npos);
 }
 
 TEST(RefreshServiceTest, TenantQuotaCapsGrant) {
@@ -191,7 +197,7 @@ TEST(RefreshServiceTest, ExecutionFailureIsReportedNotThrown) {
   const JobResult result = service.Submit(spec).get();
   EXPECT_FALSE(result.report.ok);
   EXPECT_FALSE(result.report.error.empty());
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
+  const MetricsSnapshot snapshot = service.metrics();
   EXPECT_EQ(snapshot.aggregate.jobs_failed, 1);
   // The failure released its budget: the broker is clean.
   EXPECT_EQ(service.broker().reserved_bytes(), 0);
@@ -236,8 +242,8 @@ TEST(RefreshServiceTest, NonDrainingShutdownFailsPendingJobs) {
   EXPECT_EQ(completed + rejected, 6);
 }
 
-TEST(RefreshServiceTest, MetricsJsonEscapesTenantNames) {
-  storage::ThrottledDisk disk(FreshDir("jsonesc"), FastDisk());
+TEST(RefreshServiceTest, PrometheusTextEscapesTenantLabels) {
+  storage::ThrottledDisk disk(FreshDir("labelesc"), FastDisk());
   // Jobs fail (no base tables), which must still be counted per tenant.
   auto wl = std::make_shared<workload::MvWorkload>(workload::BuildIo1());
   ServiceOptions options;
@@ -248,10 +254,14 @@ TEST(RefreshServiceTest, MetricsJsonEscapesTenantNames) {
   spec.tenant = "acme\"prod\\eu";
   const JobResult result = service.Submit(std::move(spec)).get();
   EXPECT_FALSE(result.report.ok);
-  const std::string json = service.metrics().ToJson();
-  EXPECT_NE(json.find("acme\\\"prod\\\\eu"), std::string::npos) << json;
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
+  const std::string text = service.PrometheusText();
+  EXPECT_NE(text.find("sc_jobs_total{status=\"failed\","
+                      "tenant=\"acme\\\"prod\\\\eu\"} 1\n"),
+            std::string::npos)
+      << text;
+  const MetricsSnapshot snapshot = service.metrics();
   EXPECT_EQ(snapshot.aggregate.jobs_failed, 1);
+  EXPECT_EQ(snapshot.per_tenant.count("acme\"prod\\eu"), 1u);
 }
 
 TEST(RefreshServiceTest, NullWorkloadRejected) {
@@ -351,17 +361,23 @@ TEST(RefreshServiceTest, UnusedBudgetIsReturnedMidRun) {
   EXPECT_LT(result.report.budget,
             result.granted_budget);  // ran on the shrunk grant
   EXPECT_LE(result.report.peak_memory, result.report.budget);
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
+  const MetricsSnapshot snapshot = service.metrics();
   EXPECT_GT(snapshot.aggregate.bytes_returned, 0);
   EXPECT_EQ(service.broker().reserved_bytes(), 0);
 }
 
-/// Sum of per-node compute seconds across a set of finished jobs — the
-/// recompute work the shared catalog is supposed to eliminate.
-double TotalComputeSeconds(const std::vector<JobResult>& results) {
-  double total = 0.0;
-  for (const JobResult& r : results) total += r.report.TotalComputeSeconds();
-  return total;
+/// Nodes computed rather than reused from the shared catalog across a set
+/// of finished jobs — the recompute work the shared catalog is supposed to
+/// eliminate, counted instead of timed so that load on the host cannot
+/// flip the comparison.
+int RecomputedNodes(const std::vector<JobResult>& results) {
+  int recomputed = 0;
+  for (const JobResult& r : results) {
+    for (const runtime::NodeRunStats& node : r.report.nodes) {
+      if (!node.reused_cross_job) ++recomputed;
+    }
+  }
+  return recomputed;
 }
 
 /// Runs one seed job (tenant "seed") followed by `followers` concurrent
@@ -418,12 +434,12 @@ TEST(RefreshServiceTest, CrossJobSharingCutsRecomputeAcrossTenants) {
               service.shared_catalog().budget_bytes());
 
     // The gauges flow into the metrics registry.
-    const MetricsSnapshot snapshot = service.metrics().Snapshot();
+    const MetricsSnapshot snapshot = service.metrics();
     EXPECT_GT(snapshot.aggregate.cross_job_hits, 0);
     EXPECT_GT(snapshot.aggregate.cross_job_bytes_saved, 0);
     EXPECT_GT(snapshot.aggregate.cross_job_hit_rate(), 0.0);
-    const std::string json = service.metrics().ToJson();
-    EXPECT_NE(json.find("\"cross_job_hit_rate\""), std::string::npos);
+    EXPECT_EQ(snapshot.per_tenant.at("tenant0").cross_job_hits,
+              shared_results[1].report.cross_job_hits);
 
     service.Shutdown();
     // Every run dropped its pins: nothing stays charged to any tenant.
@@ -450,51 +466,89 @@ TEST(RefreshServiceTest, CrossJobSharingCutsRecomputeAcrossTenants) {
 
   // Followers reused the seed's outputs wholesale, so the shared run's
   // total recompute is strictly below the private baseline's.
-  EXPECT_LT(TotalComputeSeconds(shared_results),
-            TotalComputeSeconds(private_results));
+  EXPECT_LT(RecomputedNodes(shared_results),
+            RecomputedNodes(private_results));
 }
 
-TEST(ServiceMetricsTest, PerPriorityWaitsAndStarvationGauge) {
-  ServiceMetrics metrics;
-  const double now =
-      std::chrono::duration<double>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count();
-  metrics.JobQueued(1, /*priority=*/0, now - 5.0);
-  metrics.JobQueued(2, /*priority=*/3, now - 1.0);
-  EXPECT_GE(metrics.StarvationSeconds(), 5.0);
-
-  JobObservation slow;
+TEST(JobMetricsTest, PerPriorityWaitsFromRegistrySeries) {
+  obs::Registry registry;
+  JobMetrics metrics(&registry);
+  JobResult slow;
   slow.tenant = "t";
-  slow.priority = 0;
-  slow.ok = true;
+  slow.status = JobStatus::kOk;
   slow.queue_wait_seconds = 5.0;
-  metrics.Record(slow);
-  metrics.JobDequeued(1);
-  EXPECT_LT(metrics.StarvationSeconds(), 5.0);
-
-  JobObservation fast;
-  fast.tenant = "t";
-  fast.priority = 3;
-  fast.ok = true;
+  metrics.Resolve("t", /*priority=*/0)->Record(slow);
+  JobResult fast = slow;
   fast.queue_wait_seconds = 0.5;
-  metrics.Record(fast);
-  metrics.JobDequeued(2);
-  EXPECT_EQ(metrics.StarvationSeconds(), 0.0);
+  const JobSeries* level3 = metrics.Resolve("t", /*priority=*/3);
+  EXPECT_EQ(level3, metrics.Resolve("t", 3));  // resolved once
+  level3->Record(fast);
 
-  const MetricsSnapshot snapshot = metrics.Snapshot();
+  const MetricsSnapshot snapshot = metrics.Read();
   ASSERT_EQ(snapshot.per_priority.size(), 2u);
   EXPECT_EQ(snapshot.per_priority.at(0).jobs, 1);
   EXPECT_DOUBLE_EQ(snapshot.per_priority.at(0).max_wait_seconds, 5.0);
   EXPECT_DOUBLE_EQ(snapshot.per_priority.at(3).mean_wait_seconds(), 0.5);
+  EXPECT_EQ(snapshot.aggregate.jobs_completed, 2);
+  EXPECT_DOUBLE_EQ(snapshot.per_tenant.at("t").mean_queue_wait_seconds(),
+                   2.75);
+  // Latency quantiles are bucket estimates: within one sqrt(2) bucket.
+  EXPECT_GE(snapshot.aggregate.p99_latency_seconds, 5.0 / std::sqrt(2.0));
+  EXPECT_LE(snapshot.aggregate.p99_latency_seconds, 5.0 * std::sqrt(2.0));
   EXPECT_EQ(snapshot.queued_jobs, 0u);
 
-  const std::string json = metrics.ToJson();
-  EXPECT_NE(json.find("\"per_priority\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"starvation_seconds\""), std::string::npos);
-  const std::string table = metrics.FormatTable();
+  const std::string table = FormatTable(snapshot);
   EXPECT_NE(table.find("priority"), std::string::npos) << table;
+  EXPECT_NE(table.find("max wait"), std::string::npos);
+  EXPECT_NE(table.find("5.000s"), std::string::npos);
   EXPECT_NE(table.find("starvation"), std::string::npos);
+}
+
+TEST(RefreshServiceTest, StarvationGaugeCountsJobsNotYetAdmitted) {
+  storage::ThrottledDisk disk(FreshDir("starve_queued"), FastDisk());
+  auto wl = AnnotatedWorkload(&disk);
+  // The first job's first node hits a transient fault whose ~10 s retry
+  // backoff holds the only worker, so the second job stays queued.
+  fault::FaultInjector faults(/*seed=*/7);
+  faults.AddRule(
+      {fault::Site::kNodeExecute, "", 0.0, /*nth_hit=*/1, 1, true});
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.fault_injector = &faults;
+  options.retry_limit = 1;
+  options.retry_backoff_ms = 10000.0;
+  RefreshService service(&disk, options);
+
+  RefreshJobSpec spec;
+  spec.workload = wl;
+  RefreshService::JobHandle running = service.SubmitJob(spec);
+  while (faults.total_fires() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  spec.priority = 3;
+  auto queued = service.Submit(spec);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const MetricsSnapshot waiting = service.metrics();
+  EXPECT_GE(waiting.starvation_seconds, 0.02);
+  EXPECT_EQ(waiting.queued_jobs, 1u);
+  EXPECT_NE(FormatTable(waiting).find("queued: 1 job(s)"),
+            std::string::npos);
+
+  EXPECT_TRUE(service.Cancel(running.job_id));
+  EXPECT_EQ(running.future.get().status, JobStatus::kCancelled);
+  EXPECT_EQ(queued.get().status, JobStatus::kOk);
+  service.Shutdown();
+
+  const MetricsSnapshot drained = service.metrics();
+  EXPECT_EQ(drained.starvation_seconds, 0.0);
+  EXPECT_EQ(drained.queued_jobs, 0u);
+  ASSERT_EQ(drained.per_priority.size(), 2u);
+  EXPECT_EQ(drained.per_priority.at(0).jobs, 1);
+  EXPECT_EQ(drained.per_priority.at(3).jobs, 1);
+  EXPECT_GE(drained.per_priority.at(3).max_wait_seconds, 0.02);
+  // One job: its mean is its max (histogram sums keep microseconds).
+  EXPECT_NEAR(drained.per_priority.at(3).mean_wait_seconds(),
+              drained.per_priority.at(3).max_wait_seconds, 1e-6);
 }
 
 TEST(RefreshServiceTest, StarvationGaugeTracksLiveQueue) {
@@ -514,8 +568,8 @@ TEST(RefreshServiceTest, StarvationGaugeTracksLiveQueue) {
   for (auto& future : futures) future.get();
   service.Shutdown();
   // Everything ran: the gauge must be clean.
-  EXPECT_EQ(service.metrics().StarvationSeconds(), 0.0);
-  EXPECT_EQ(service.metrics().Snapshot().queued_jobs, 0u);
+  EXPECT_EQ(service.metrics().starvation_seconds, 0.0);
+  EXPECT_EQ(service.metrics().queued_jobs, 0u);
 }
 
 }  // namespace
