@@ -1,21 +1,23 @@
-// Refresh-Service throughput: jobs/sec and tail latency as the worker
-// pool grows, plus the intra-job DAG-parallel runtime: an inter-job
-// workers × intra-job lanes sweep, a wide synthetic DAG refreshed at
-// 1/2/4 lanes against throttled storage, and the stage-aware ordering
-// (opt::WidenStages) section. Every parallel config reports the
-// persistent LanePool's thread-start count and mean lane utilization, so
-// pool reuse and ordering wins are visible in the JSON, not just
-// jobs/sec. Emits JSON (stdout and, by default,
-// BENCH_service_throughput.json).
+// Refresh-Service overhead bench: the three time-ratio gates on the
+// serving hot path that no test or perfbench workload pins.
+//
+//   1. Tracing off: a service with a trace recorder attached but
+//      disabled against one with no recorder at all (the
+//      zero-overhead-when-off contract), plus tracing on for reference.
+//   2. Cancellation: every job carrying a far deadline against plain
+//      jobs (the fault-tolerance layer's cost on the fault-free path).
+//   3. Checksums: verified SCC1 reads against unverified ones.
+//
+// Emits JSON (stdout and, by default, BENCH_service_throughput.json).
 //
 //   $ ./bench/bench_service_throughput [--smoke] [--out FILE]
 //                                      [--trace [FILE]]
 //
-// --smoke shrinks the sweeps for CI; --out overrides the JSON path.
-// --trace writes the traced run's Chrome trace (default
-// BENCH_trace.json) for chrome://tracing / trace_inspect. The tracing
-// overhead section runs either way — it is the bench backing for the
-// zero-overhead-when-off contract.
+// --smoke runs the CI sizes and gates the exit status: disabled-recorder
+// overhead < 10%, cancellation overhead < 10% and checksum overhead
+// <= 5%. --out overrides the JSON path. --trace writes the traced run's
+// Chrome trace (default BENCH_trace.json) for chrome://tracing /
+// trace_inspect.
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
@@ -30,54 +32,31 @@
 
 #include "bench_util.h"
 #include "obs/registry.h"
-#include "storage/format.h"
 #include "obs/trace.h"
-#include "opt/optimizer.h"
-#include "opt/stages.h"
 #include "runtime/controller.h"
-#include "runtime/lane_pool.h"
 #include "service/service.h"
+#include "storage/format.h"
 #include "storage/throttled_disk.h"
 #include "workload/datagen.h"
 
 namespace sc::bench {
 namespace {
 
-struct Sample {
-  int workers = 0;
-  int lanes = 1;
-  double jobs_per_second = 0.0;
-  double p50_seconds = 0.0;
-  double p99_seconds = 0.0;
-  double mean_queue_wait_seconds = 0.0;
-  double catalog_hit_rate = 0.0;
-  /// LanePool threads started during the timed segment / jobs — zero in
-  /// steady state (persistent lanes), one-per-lane-per-job before PR 3.
-  double thread_starts_per_job = 0.0;
-  /// Mean fraction of the pool's thread budget that was executing nodes
-  /// (busy lane-seconds / (wall × capacity)); 0 for 1-lane configs,
-  /// which bypass the pool.
-  double lane_utilization = 0.0;
-};
-
 using WorkloadSet =
     std::vector<std::shared_ptr<const workload::MvWorkload>>;
 
-Sample RunConfig(storage::ThrottledDisk* disk, const WorkloadSet& wls,
-                 int workers, int lanes, int jobs) {
-  service::ServiceOptions options;
-  options.num_workers = workers * lanes;  // total thread budget
-  options.max_intra_job_lanes = lanes;
-  options.global_budget = 32LL * 1024 * 1024;
-  // Sections 1-2 track worker/lane *execution* scaling (the PR-1/PR-3
-  // trajectories): cross-job reuse would serve the repeat jobs from the
-  // shared layer and decouple the numbers from the sweep variable.
-  // Section 5 measures sharing, toggling this flag both ways.
-  options.share_catalog = false;
+/// One rep of a steady-state service config: a fresh service warms its
+/// plan cache with one untimed job per workload, then `jobs` jobs from 4
+/// tenants over the mixed workloads are timed. With `with_deadline`
+/// every timed job carries a far deadline. When `registry_delta` is set
+/// it receives the registry's change over the timed segment. Returns
+/// jobs/s.
+double RunServiceConfig(storage::ThrottledDisk* disk, const WorkloadSet& wls,
+                        const service::ServiceOptions& options, int jobs,
+                        bool with_deadline,
+                        std::map<std::string, double>* registry_delta) {
   service::RefreshService service(disk, options);
 
-  // Warm the plan cache so every timed config pays optimization once per
-  // workload at most — the steady-state serving regime.
   for (const auto& wl : wls) {
     service::RefreshJobSpec warmup;
     warmup.workload = wl;
@@ -85,11 +64,9 @@ Sample RunConfig(storage::ThrottledDisk* disk, const WorkloadSet& wls,
     warmup.requested_budget = options.global_budget / 8;
     service.Submit(warmup).get();
   }
-  // Snapshot the pool after warmup: the timed segment's deltas show the
-  // steady-state behaviour (persistent lanes ⇒ ~zero thread starts).
-  const std::int64_t threads_before =
-      service.lane_pool().threads_started();
-  const double busy_before = service.lane_pool().busy_seconds();
+  const std::map<std::string, double> before =
+      registry_delta != nullptr ? service.registry().Snapshot()
+                                : std::map<std::string, double>{};
 
   WallTimer timer;
   std::vector<std::future<service::JobResult>> futures;
@@ -99,233 +76,45 @@ Sample RunConfig(storage::ThrottledDisk* disk, const WorkloadSet& wls,
     spec.workload = wls[static_cast<std::size_t>(i) % wls.size()];
     spec.tenant = "tenant" + std::to_string(i % 4);
     spec.requested_budget = options.global_budget / 8;
+    if (with_deadline) spec.deadline_seconds = 3600.0;  // never expires
     futures.push_back(service.Submit(std::move(spec)));
   }
-  // Stats come from the timed jobs' results directly — the service
-  // metrics registry also holds the warmup jobs' (uncached-optimization)
-  // latencies, which would dominate the reported p99.
   int failed = 0;
-  std::vector<double> latencies;
-  double total_wait = 0.0;
-  std::int64_t hits = 0;
-  std::int64_t misses = 0;
-  latencies.reserve(futures.size());
   for (auto& future : futures) {
-    const service::JobResult r = future.get();
-    if (!r.report.ok) ++failed;
-    latencies.push_back(r.queue_wait_seconds + r.exec_seconds);
-    total_wait += r.queue_wait_seconds;
-    hits += r.report.catalog_hits;
-    misses += r.report.catalog_misses;
+    if (future.get().status != service::JobStatus::kOk) ++failed;
   }
   const double wall = timer.Seconds();
   if (failed > 0) {
-    std::cerr << "warning: " << failed << " jobs failed\n";
+    std::cerr << "warning: " << failed << " timed jobs failed\n";
   }
-
-  std::sort(latencies.begin(), latencies.end());
-  auto percentile = [&](double q) {
-    const double rank = q * static_cast<double>(latencies.size() - 1);
-    return latencies[static_cast<std::size_t>(rank + 0.5)];
-  };
-  Sample sample;
-  sample.workers = workers;
-  sample.lanes = lanes;
-  sample.jobs_per_second = jobs / wall;
-  sample.p50_seconds = percentile(0.50);
-  sample.p99_seconds = percentile(0.99);
-  sample.mean_queue_wait_seconds = total_wait / jobs;
-  sample.catalog_hit_rate =
-      hits + misses == 0 ? 0.0
-                         : static_cast<double>(hits) / (hits + misses);
-  sample.thread_starts_per_job = static_cast<double>(
-      service.lane_pool().threads_started() - threads_before) /
-      jobs;
-  sample.lane_utilization =
-      (service.lane_pool().busy_seconds() - busy_before) /
-      (wall * options.num_workers);
-  return sample;
+  if (registry_delta != nullptr) {
+    *registry_delta =
+        obs::SnapshotDelta(before, service.registry().Snapshot());
+  }
+  return jobs / wall;
 }
 
+/// The tracing-overhead config: a 4-tenant, 4-lane service with the
+/// shared catalog on, so the off-vs-on ratio isolates the recorder cost.
+service::ServiceOptions TraceOptions(obs::TraceRecorder* trace) {
+  service::ServiceOptions options;
+  options.num_workers = 8;  // 2 inter-job workers × up to 4 lanes
+  options.max_intra_job_lanes = 4;
+  options.global_budget = 32LL * 1024 * 1024;
+  options.trace = trace;
+  return options;
+}
 
-struct WideSample {
-  int lanes = 1;
-  double wall_seconds = 0.0;
-  double speedup = 1.0;
-  std::int64_t thread_starts = 0;  // across warmup + all reps
-  double lane_utilization = 0.0;   // best rep, vs `lanes` threads
-  std::int64_t reserve_denials = 0;
-};
-
-struct WidenSample {
-  bool widened = false;
-  double wall_seconds = 0.0;
-  double lane_utilization = 0.0;
-};
-
-struct SharedSample {
-  int tenants = 0;
-  bool shared = false;
-  double jobs_per_second = 0.0;
-  double cross_job_hit_rate = 0.0;  // of all catalog resolutions
-  std::int64_t bytes_saved = 0;
-  double total_compute_seconds = 0.0;
-};
-
-/// Cross-job sharing sweep config: `tenants` tenants all refreshing the
-/// same workload, `jobs_per_tenant` times each, with or without the
-/// shared catalog. A seed job warms the shared layer (and the plan
-/// cache) before the timed segment, mirroring steady-state traffic.
-SharedSample RunSharedConfig(storage::ThrottledDisk* disk,
-                             const std::shared_ptr<const workload::MvWorkload>& wl,
-                             int tenants, int jobs_per_tenant,
-                             bool shared) {
+/// The cancellation-overhead config: the steady-state 4-worker service.
+/// The token itself is always wired (the service polls it at every
+/// stage / node / morsel boundary); a deadline additionally makes each
+/// poll read the monotonic clock, so deadline-vs-plain bounds the full
+/// per-boundary cost of the fault-tolerance layer.
+service::ServiceOptions CancelOptions() {
   service::ServiceOptions options;
   options.num_workers = 4;
   options.global_budget = 32LL * 1024 * 1024;
-  options.share_catalog = shared;
-  service::RefreshService service(disk, options);
-
-  service::RefreshJobSpec warmup;
-  warmup.workload = wl;
-  warmup.tenant = "warmup";
-  service.Submit(warmup).get();
-
-  WallTimer timer;
-  std::vector<std::future<service::JobResult>> futures;
-  for (int round = 0; round < jobs_per_tenant; ++round) {
-    for (int t = 0; t < tenants; ++t) {
-      service::RefreshJobSpec spec;
-      spec.workload = wl;
-      spec.tenant = "tenant" + std::to_string(t);
-      futures.push_back(service.Submit(std::move(spec)));
-    }
-  }
-  SharedSample sample;
-  sample.tenants = tenants;
-  sample.shared = shared;
-  std::int64_t cross_hits = 0;
-  std::int64_t resolutions = 0;
-  for (auto& future : futures) {
-    const service::JobResult r = future.get();
-    if (!r.report.ok) {
-      std::cerr << "shared-sweep job failed: " << r.report.error << "\n";
-    }
-    cross_hits += r.report.cross_job_hits;
-    resolutions += r.report.catalog_hits + r.report.catalog_misses;
-    sample.bytes_saved += r.report.cross_job_bytes_saved;
-    sample.total_compute_seconds += r.report.TotalComputeSeconds();
-  }
-  sample.jobs_per_second =
-      static_cast<double>(futures.size()) / timer.Seconds();
-  sample.cross_job_hit_rate =
-      resolutions == 0
-          ? 0.0
-          : static_cast<double>(cross_hits) / resolutions;
-  return sample;
-}
-
-struct ResidencySample {
-  std::string cardinality;
-  std::int64_t distinct = 0;
-  bool compressed = false;  // dict residency + spill tier vs PR-8 plain
-  std::int64_t budget = 0;
-  double jobs_per_second = 0.0;
-  std::int64_t cross_job_hits = 0;
-  std::int64_t bytes_saved = 0;
-  double total_compute_seconds = 0.0;
-  std::int64_t spills = 0;
-  std::int64_t spill_refills = 0;
-  std::int64_t spill_bytes = 0;
-};
-
-/// One compressed-residency config: string-heavy data at the given
-/// cardinality on a fresh disk, a seed job then `followers` concurrent
-/// repeat tenants at a fixed (tight) budget. `compressed` toggles the
-/// whole PR-9 stack — dictionary residency plus the spill/refill tier —
-/// against the plain-string, drop-on-evict baseline. Profiling matches
-/// the runtime representation so the optimizer sees honest sizes either
-/// way.
-ResidencySample RunResidencyConfig(workload::StringCardinality cardinality,
-                                   const std::string& cardinality_name,
-                                   bool compressed, std::int64_t budget,
-                                   double scale, int followers) {
-  const std::string tag = cardinality_name + (compressed ? "_dict" : "_plain");
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / ("sc_bench_residency_" + tag))
-          .string();
-  std::filesystem::remove_all(dir);
-  storage::DiskProfile profile;
-  profile.throttle = false;
-  storage::ThrottledDisk disk(dir, profile);
-
-  workload::StringHeavyOptions data_options;
-  data_options.scale = scale;
-  data_options.cardinality = cardinality;
-  runtime::ControllerOptions profile_options;
-  profile_options.compress_residency = compressed;
-  runtime::Controller profiler(&disk, profile_options);
-  profiler.LoadBaseTables(workload::GenerateStringHeavyData(data_options));
-  auto wl = std::make_shared<workload::MvWorkload>(
-      workload::BuildStringHeavySynthetic(6));
-  const runtime::RunReport profiled = profiler.ProfileAndAnnotate(wl.get());
-  if (!profiled.ok) {
-    std::cerr << "string-heavy profiling failed: " << profiled.error << "\n";
-    return {};
-  }
-
-  service::ServiceOptions options;
-  options.num_workers = 4;
-  options.global_budget = budget;
-  options.compress_residency = compressed;
-  if (compressed) {
-    options.spill_directory =
-        (std::filesystem::temp_directory_path() /
-         ("sc_bench_residency_spill_" + tag))
-            .string();
-    std::filesystem::remove_all(options.spill_directory);
-  }
-  service::RefreshService service(&disk, options);
-
-  ResidencySample sample;
-  sample.cardinality = cardinality_name;
-  sample.distinct = workload::StringCardinalityValues(cardinality);
-  sample.compressed = compressed;
-  sample.budget = budget;
-
-  service::RefreshJobSpec seed;
-  seed.workload = wl;
-  seed.tenant = "seed";
-  const service::JobResult seed_result = service.Submit(seed).get();
-  if (!seed_result.report.ok) {
-    std::cerr << "residency seed job failed: " << seed_result.report.error
-              << "\n";
-    return sample;
-  }
-
-  WallTimer timer;
-  std::vector<std::future<service::JobResult>> futures;
-  for (int i = 0; i < followers; ++i) {
-    service::RefreshJobSpec spec;
-    spec.workload = wl;
-    spec.tenant = "tenant" + std::to_string(i);
-    futures.push_back(service.Submit(std::move(spec)));
-  }
-  for (auto& future : futures) {
-    const service::JobResult r = future.get();
-    if (!r.report.ok) {
-      std::cerr << "residency follower failed: " << r.report.error << "\n";
-    }
-    sample.cross_job_hits += r.report.cross_job_hits;
-    sample.bytes_saved += r.report.cross_job_bytes_saved;
-    sample.total_compute_seconds += r.report.TotalComputeSeconds();
-  }
-  sample.jobs_per_second =
-      static_cast<double>(futures.size()) / timer.Seconds();
-  sample.spills = service.shared_catalog().spills();
-  sample.spill_refills = service.shared_catalog().spill_refills();
-  sample.spill_bytes = service.shared_catalog().spill_bytes();
-  return sample;
+  return options;
 }
 
 struct ChecksumOverheadSample {
@@ -384,191 +173,37 @@ ChecksumOverheadSample RunChecksumOverhead(const engine::Table& table,
   return sample;
 }
 
-struct RecoverySample {
-  std::int64_t spills = 0;
-  std::int64_t spilled_at_shutdown = 0;
-  std::int64_t recovered_entries = 0;
-  std::int64_t recovered_bytes = 0;
-  std::int64_t orphans_removed = 0;
-  std::int64_t corrupt_files = 0;
-  std::int64_t refills_after_restart = 0;
-  std::int64_t cross_job_hits_after_restart = 0;
-  double hit_rate_after_restart = 0.0;
-};
-
-/// The kill-and-restart recovery smoke: a durable-spill service builds a
-/// spill population under a tight budget and is torn down; a fresh
-/// service on the same directory recovers the population from the
-/// manifest and serves the restarted tenants from it — cross-job hits
-/// with zero recompute for the recovered MVs.
-RecoverySample RunRecoverySection(double scale, int followers) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "sc_bench_recovery").string();
-  std::filesystem::remove_all(dir);
-  storage::DiskProfile profile;
-  profile.throttle = false;
-  storage::ThrottledDisk disk(dir, profile);
-
-  workload::StringHeavyOptions data_options;
-  data_options.scale = scale;
-  data_options.cardinality = workload::StringCardinality::kLow;
-  runtime::Controller profiler(&disk, runtime::ControllerOptions{});
-  profiler.LoadBaseTables(workload::GenerateStringHeavyData(data_options));
-  auto wl = std::make_shared<workload::MvWorkload>(
-      workload::BuildStringHeavySynthetic(6));
-  const runtime::RunReport profiled = profiler.ProfileAndAnnotate(wl.get());
-  RecoverySample sample;
-  if (!profiled.ok) {
-    std::cerr << "recovery profiling failed: " << profiled.error << "\n";
-    return sample;
+/// The checksum bench table: ints, doubles and a low-cardinality string
+/// column. Sized so that one unverified read takes over 10 ms (~17 MB of
+/// SCC1): with a shorter denominator, timer and scheduler noise alone
+/// swing the ratio by several percent.
+engine::Table ChecksumTable() {
+  const std::int64_t kRows = 1'000'000;
+  std::vector<std::int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<std::string> strs;
+  ints.reserve(static_cast<std::size_t>(kRows));
+  doubles.reserve(static_cast<std::size_t>(kRows));
+  strs.reserve(static_cast<std::size_t>(kRows));
+  for (std::int64_t i = 0; i < kRows; ++i) {
+    ints.push_back(i * 2654435761LL);
+    doubles.push_back(static_cast<double>(i) * 0.5);
+    strs.push_back("cat_" + std::to_string(i % 64));
   }
-
-  service::ServiceOptions options;
-  options.num_workers = 2;
-  options.global_budget = 64LL * 1024;  // well under the working set
-  options.spill_directory =
-      (std::filesystem::temp_directory_path() / "sc_bench_recovery_spill")
-          .string();
-  options.spill_recover = true;
-  std::filesystem::remove_all(options.spill_directory);
-
-  auto run_jobs = [&](service::RefreshService* service,
-                      const std::string& tag, int jobs,
-                      std::int64_t* hits_out) {
-    std::vector<std::future<service::JobResult>> futures;
-    for (int i = 0; i < jobs; ++i) {
-      service::RefreshJobSpec spec;
-      spec.workload = wl;
-      spec.tenant = tag + std::to_string(i);
-      futures.push_back(service->Submit(std::move(spec)));
-    }
-    for (auto& future : futures) {
-      const service::JobResult r = future.get();
-      if (!r.report.ok) {
-        std::cerr << "recovery job failed: " << r.report.error << "\n";
-      }
-      if (hits_out != nullptr) *hits_out += r.report.cross_job_hits;
-    }
-  };
-
-  {
-    service::RefreshService service(&disk, options);
-    run_jobs(&service, "seed", 1, nullptr);
-    run_jobs(&service, "tenant", followers, nullptr);
-    sample.spills = service.shared_catalog().spills();
-    sample.spilled_at_shutdown =
-        static_cast<std::int64_t>(service.shared_catalog().spilled_entries());
-    service.Shutdown();
-  }  // teardown keeps the spill files + manifest (spill_recover)
-
-  service::RefreshService service(&disk, options);
-  sample.recovered_entries = service.shared_catalog().recovered_entries();
-  sample.recovered_bytes = service.shared_catalog().recovered_bytes();
-  sample.orphans_removed = service.shared_catalog().orphans_removed();
-  run_jobs(&service, "restart", followers,
-           &sample.cross_job_hits_after_restart);
-  sample.corrupt_files = service.shared_catalog().corrupt_files();
-  sample.refills_after_restart = service.shared_catalog().spill_refills();
-  const std::int64_t hits = service.shared_catalog().hits();
-  const std::int64_t misses = service.shared_catalog().misses();
-  sample.hit_rate_after_restart =
-      hits + misses == 0 ? 0.0
-                         : static_cast<double>(hits) / (hits + misses);
-  service.Shutdown();
-  return sample;
+  std::vector<engine::Column> cols;
+  cols.push_back(engine::Column::FromInts(std::move(ints)));
+  cols.push_back(engine::Column::FromDoubles(std::move(doubles)));
+  cols.push_back(engine::Column::FromStrings(std::move(strs)));
+  return engine::Table(
+      engine::Schema({engine::Field{"k", engine::DataType::kInt64},
+                      engine::Field{"v", engine::DataType::kFloat64},
+                      engine::Field{"s", engine::DataType::kString}}),
+      std::move(cols));
 }
 
-/// One rep of the tracing-overhead config: a 4-tenant, 4-lane service
-/// over the mixed workloads, with or without a trace recorder attached.
-/// The config mirrors steady-state serving (warmed plan cache, shared
-/// catalog on), so the off-vs-on ratio isolates the recorder cost.
-double RunTraceConfig(storage::ThrottledDisk* disk, const WorkloadSet& wls,
-                      int jobs, obs::TraceRecorder* trace,
-                      std::map<std::string, double>* registry_delta) {
-  service::ServiceOptions options;
-  options.num_workers = 8;  // 2 inter-job workers × up to 4 lanes
-  options.max_intra_job_lanes = 4;
-  options.global_budget = 32LL * 1024 * 1024;
-  options.trace = trace;
-  service::RefreshService service(disk, options);
-
-  for (const auto& wl : wls) {
-    service::RefreshJobSpec warmup;
-    warmup.workload = wl;
-    warmup.tenant = "warmup";
-    warmup.requested_budget = options.global_budget / 8;
-    service.Submit(warmup).get();
-  }
-  const std::map<std::string, double> before =
-      registry_delta != nullptr ? service.registry().Snapshot()
-                                : std::map<std::string, double>{};
-
-  WallTimer timer;
-  std::vector<std::future<service::JobResult>> futures;
-  futures.reserve(static_cast<std::size_t>(jobs));
-  for (int i = 0; i < jobs; ++i) {
-    service::RefreshJobSpec spec;
-    spec.workload = wls[static_cast<std::size_t>(i) % wls.size()];
-    spec.tenant = "tenant" + std::to_string(i % 4);
-    spec.requested_budget = options.global_budget / 8;
-    futures.push_back(service.Submit(std::move(spec)));
-  }
-  int failed = 0;
-  for (auto& future : futures) {
-    if (!future.get().report.ok) ++failed;
-  }
-  const double wall = timer.Seconds();
-  if (failed > 0) {
-    std::cerr << "warning: " << failed << " traced jobs failed\n";
-  }
-  if (registry_delta != nullptr) {
-    *registry_delta =
-        obs::SnapshotDelta(before, service.registry().Snapshot());
-  }
-  return jobs / wall;
-}
-
-/// One rep of the cancellation-overhead config: the steady-state
-/// 4-worker service, with every job either plain or carrying a far
-/// deadline. The token itself is always wired (the service polls it at
-/// every stage / node / morsel boundary); a deadline additionally makes
-/// each poll read the monotonic clock, so deadline-vs-plain bounds the
-/// full per-boundary cost of the fault-tolerance layer.
-double RunCancelConfig(storage::ThrottledDisk* disk, const WorkloadSet& wls,
-                       int jobs, bool with_deadline) {
-  service::ServiceOptions options;
-  options.num_workers = 4;
-  options.global_budget = 32LL * 1024 * 1024;
-  service::RefreshService service(disk, options);
-
-  for (const auto& wl : wls) {
-    service::RefreshJobSpec warmup;
-    warmup.workload = wl;
-    warmup.tenant = "warmup";
-    warmup.requested_budget = options.global_budget / 8;
-    service.Submit(warmup).get();
-  }
-
-  WallTimer timer;
-  std::vector<std::future<service::JobResult>> futures;
-  futures.reserve(static_cast<std::size_t>(jobs));
-  for (int i = 0; i < jobs; ++i) {
-    service::RefreshJobSpec spec;
-    spec.workload = wls[static_cast<std::size_t>(i) % wls.size()];
-    spec.tenant = "tenant" + std::to_string(i % 4);
-    spec.requested_budget = options.global_budget / 8;
-    if (with_deadline) spec.deadline_seconds = 3600.0;  // never expires
-    futures.push_back(service.Submit(std::move(spec)));
-  }
-  int failed = 0;
-  for (auto& future : futures) {
-    if (future.get().status != service::JobStatus::kOk) ++failed;
-  }
-  const double wall = timer.Seconds();
-  if (failed > 0) {
-    std::cerr << "warning: " << failed << " cancel-config jobs failed\n";
-  }
-  return jobs / wall;
+/// Fraction of `base` jobs/s lost by `jps`; 0 when `base` is unmeasured.
+double OverheadVs(double base, double jps) {
+  return base <= 0.0 ? 0.0 : (base - jps) / base;
 }
 
 int Main(int argc, char** argv) {
@@ -591,17 +226,16 @@ int Main(int argc, char** argv) {
     }
   }
 
-  Banner("Refresh-Service throughput: workers, intra-job lanes, wide DAG",
-         "serving-layer extension: concurrent jobs + stage-parallel "
-         "intra-job execution under one shared Memory-Catalog budget "
-         "(no paper counterpart)");
+  Banner("Refresh-Service overhead: tracing off, cancellation, checksums",
+         "serving-layer extension: the cost of observability and fault "
+         "tolerance on the fault-free hot path (no paper counterpart)");
 
   const std::string dir =
       (std::filesystem::temp_directory_path() / "sc_bench_service")
           .string();
   std::filesystem::remove_all(dir);
   storage::DiskProfile profile;
-  profile.throttle = false;  // scaling limited by compute, not emulation
+  profile.throttle = false;  // compute-bound, not emulation-bound
   profile.channels = 8;      // warehouse storage serves workers in parallel
   storage::ThrottledDisk disk(dir, profile);
 
@@ -622,277 +256,16 @@ int Main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // 1. Worker sweep (sequential jobs), the PR-1 baseline trajectory.
-  // -------------------------------------------------------------------
-  const int kJobs = smoke ? 12 : 40;
-  const std::vector<int> worker_sweep =
-      smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
-  std::vector<Sample> samples;
-  TablePrinter table(
-      {"workers", "jobs/s", "p50", "p99", "avg wait", "catalog hit%"});
-  for (int workers : worker_sweep) {
-    const Sample s = RunConfig(&disk, wls, workers, /*lanes=*/1, kJobs);
-    table.AddRow({std::to_string(s.workers),
-                  StrFormat("%.1f", s.jobs_per_second),
-                  StrFormat("%.3fs", s.p50_seconds),
-                  StrFormat("%.3fs", s.p99_seconds),
-                  StrFormat("%.3fs", s.mean_queue_wait_seconds),
-                  StrFormat("%.1f", 100.0 * s.catalog_hit_rate)});
-    samples.push_back(s);
-  }
-  table.Print(std::cout);
-  std::cout << StrFormat(
-      "\nscaling: %.2fx jobs/s at %d workers vs 1 worker\n",
-      samples.back().jobs_per_second / samples.front().jobs_per_second,
-      samples.back().workers);
-
-  // -------------------------------------------------------------------
-  // 2. Inter-job workers × intra-job lanes sweep: same mixed workload,
-  //    total threads = workers × lanes. Speedup is vs the 1-lane
-  //    config at the same worker count. Thread
-  //    starts per job and lane utilization make the persistent-pool and
-  //    relaxed-publish wins visible.
-  // -------------------------------------------------------------------
-  const int kLaneJobs = smoke ? 8 : 24;
-  const int kLaneReps = smoke ? 2 : 3;
-  const std::vector<int> lane_workers =
-      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
-  const std::vector<int> lane_sweep =
-      smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4};
-  std::vector<Sample> lane_samples;
-  TablePrinter lane_table({"workers", "lanes", "jobs/s", "p99",
-                           "speedup vs 1 lane", "thr starts/job",
-                           "lane util%"});
-  std::map<int, double> lane1_jps;
-  for (int workers : lane_workers) {
-    // Interleave reps across lane counts (rep-major) and keep each
-    // config's best: one config's short timed segment is dominated by
-    // host noise, and back-to-back reps of the *same* config would bake
-    // slow-minute drift into the lane-count ratios.
-    std::map<int, Sample> best;
-    for (int rep = 0; rep < kLaneReps; ++rep) {
-      for (int lanes : lane_sweep) {
-        const Sample s = RunConfig(&disk, wls, workers, lanes, kLaneJobs);
-        auto it = best.find(lanes);
-        if (it == best.end() ||
-            s.jobs_per_second > it->second.jobs_per_second) {
-          best[lanes] = s;
-        }
-      }
-    }
-    for (int lanes : lane_sweep) {
-      const Sample& s = best[lanes];
-      if (lanes == 1) lane1_jps[workers] = s.jobs_per_second;
-      lane_samples.push_back(s);
-      lane_table.AddRow(
-          {std::to_string(s.workers), std::to_string(s.lanes),
-           StrFormat("%.1f", s.jobs_per_second),
-           StrFormat("%.3fs", s.p99_seconds),
-           StrFormat("%.2fx", s.jobs_per_second / lane1_jps[workers]),
-           StrFormat("%.2f", s.thread_starts_per_job),
-           StrFormat("%.1f", 100.0 * s.lane_utilization)});
-    }
-  }
-  std::cout << "\n";
-  lane_table.Print(std::cout);
-
-  // -------------------------------------------------------------------
-  // 3. Wide synthetic DAG, one job: intra-job lanes vs one lane. Run
-  //    against *throttled* multi-channel storage — the paper's regime,
-  //    where refresh time is dominated by warehouse I/O.
-  //    Independent nodes overlap their storage time on separate
-  //    channels, so the antichain width (12), the channel count, and the
-  //    lane count bound the speedup (compute also overlaps on
-  //    multi-core hosts). All configs borrow lanes from one shared
-  //    LanePool — thread starts stay bounded by its capacity across the
-  //    whole sweep.
-  // -------------------------------------------------------------------
-  const std::string wide_dir =
-      (std::filesystem::temp_directory_path() / "sc_bench_service_wide")
-          .string();
-  std::filesystem::remove_all(wide_dir);
-  storage::DiskProfile wide_profile;
-  wide_profile.throttle = true;
-  wide_profile.channels = 8;
-  wide_profile.read_bw = 48e6;   // modest warehouse storage: I/O-bound
-  wide_profile.write_bw = 32e6;  // refresh, visible at bench scale
-  storage::ThrottledDisk wide_disk(wide_dir, wide_profile);
-  {
-    runtime::Controller loader(&wide_disk, runtime::ControllerOptions{});
-    workload::DataGenOptions wide_data;
-    wide_data.scale = smoke ? 0.05 : 0.1;
-    loader.LoadBaseTables(workload::GenerateTpcdsData(wide_data));
-  }
-  const workload::MvWorkload wide =
-      workload::BuildWideSynthetic(12, /*heavy=*/true);
-  const int kWideReps = smoke ? 1 : 3;
-  runtime::LanePool wide_pool(4);  // shared across every lane config
-  std::vector<WideSample> wide_samples;
-  TablePrinter wide_table({"lanes", "wall", "speedup vs 1 lane",
-                           "thr starts", "lane util%"});
-  double one_lane_wall = 0.0;
-  for (int lanes : {1, 2, 4}) {
-    runtime::ControllerOptions options;
-    options.max_parallel_nodes = lanes;
-    options.lane_pool = &wide_pool;
-    runtime::Controller controller(&wide_disk, options);
-    const std::int64_t starts_before = wide_pool.threads_started();
-    // One untimed warmup, then best-of-N.
-    if (!controller.RunUnoptimized(wide).ok) {
-      std::cerr << "wide DAG run failed\n";
-      return 1;
-    }
-    double best = 0.0;
-    double best_util = 0.0;
-    std::int64_t denials = 0;
-    for (int rep = 0; rep < kWideReps; ++rep) {
-      const double busy_before = wide_pool.busy_seconds();
-      WallTimer timer;
-      const runtime::RunReport report = controller.RunUnoptimized(wide);
-      const double wall = timer.Seconds();
-      if (!report.ok) {
-        std::cerr << "wide DAG run failed: " << report.error << "\n";
-        return 1;
-      }
-      denials += report.reserve_denials;
-      if (best == 0.0 || wall < best) {
-        best = wall;
-        best_util = lanes > 1 ? (wide_pool.busy_seconds() - busy_before) /
-                                    (wall * lanes)
-                              : 0.0;
-      }
-    }
-    if (lanes == 1) one_lane_wall = best;
-    WideSample sample;
-    sample.lanes = lanes;
-    sample.wall_seconds = best;
-    sample.speedup = one_lane_wall / best;
-    sample.thread_starts = wide_pool.threads_started() - starts_before;
-    sample.lane_utilization = best_util;
-    sample.reserve_denials = denials;
-    wide_samples.push_back(sample);
-    wide_table.AddRow({std::to_string(lanes), StrFormat("%.3fs", best),
-                       StrFormat("%.2fx", sample.speedup),
-                       std::to_string(sample.thread_starts),
-                       StrFormat("%.1f",
-                                 100.0 * sample.lane_utilization)});
-  }
-  std::cout << "\n";
-  wide_table.Print(std::cout);
-
-  // -------------------------------------------------------------------
-  // 4. Stage-aware ordering: a chains-shaped workload (4 chains × 4
-  //    deep) whose MA-DFS order lists each chain depth-first. With the
-  //    in-order publish protocol that starves early antichains; the
-  //    opt::WidenStages post-pass reorders stage-major among
-  //    memory-equivalent prefixes, feeding all 4 lanes from the start.
-  // -------------------------------------------------------------------
-  workload::MvWorkload chains = workload::BuildChainsSynthetic(4, 4);
-  {
-    runtime::Controller chain_profiler(&wide_disk,
-                                       runtime::ControllerOptions{});
-    const runtime::RunReport profiled =
-        chain_profiler.ProfileAndAnnotate(&chains);
-    if (!profiled.ok) {
-      std::cerr << "chains profiling failed: " << profiled.error << "\n";
-      return 1;
-    }
-  }
-  std::vector<WidenSample> widen_samples;
-  TablePrinter widen_table(
-      {"ordering", "wall", "lane util%", "speedup vs ma-dfs"});
-  const std::int64_t chains_budget = 24LL * 1024 * 1024;
-  double madfs_wall = 0.0;
-  for (const bool widen : {false, true}) {
-    opt::AlternatingOptions opt_options;
-    opt_options.widen_stages = widen;
-    const opt::Plan plan =
-        opt::AlternatingOptimize(chains.graph, chains_budget, opt_options)
-            .plan;
-    runtime::ControllerOptions options;
-    options.budget = chains_budget;
-    options.max_parallel_nodes = 4;
-    options.lane_pool = &wide_pool;
-    runtime::Controller controller(&wide_disk, options);
-    if (!controller.Run(chains, plan).ok) {
-      std::cerr << "chains warmup failed\n";
-      return 1;
-    }
-    double best = 0.0;
-    double best_util = 0.0;
-    for (int rep = 0; rep < kWideReps; ++rep) {
-      const double busy_before = wide_pool.busy_seconds();
-      WallTimer timer;
-      const runtime::RunReport report = controller.Run(chains, plan);
-      const double wall = timer.Seconds();
-      if (!report.ok) {
-        std::cerr << "chains run failed: " << report.error << "\n";
-        return 1;
-      }
-      if (best == 0.0 || wall < best) {
-        best = wall;
-        best_util =
-            (wide_pool.busy_seconds() - busy_before) / (wall * 4);
-      }
-    }
-    if (!widen) madfs_wall = best;
-    WidenSample sample;
-    sample.widened = widen;
-    sample.wall_seconds = best;
-    sample.lane_utilization = best_util;
-    widen_samples.push_back(sample);
-    widen_table.AddRow({widen ? "widened" : "ma-dfs",
-                        StrFormat("%.3fs", best),
-                        StrFormat("%.1f", 100.0 * best_util),
-                        StrFormat("%.2fx", madfs_wall / best)});
-  }
-  std::cout << "\n";
-  widen_table.Print(std::cout);
-
-  // -------------------------------------------------------------------
-  // 5. Cross-job shared catalog (PR 4): N tenants refreshing the *same*
-  //    workload, with the content-keyed SharedCatalog vs the private-
-  //    catalog baseline. Sharing turns repeat refreshes into memory
-  //    reads: cross-job hit rate, bytes saved, and the recompute work
-  //    eliminated are reported next to the jobs/sec win.
-  // -------------------------------------------------------------------
-  const int kSharedJobsPerTenant = smoke ? 4 : 8;
-  const std::vector<int> tenant_sweep =
-      smoke ? std::vector<int>{2, 4} : std::vector<int>{2, 4, 8};
-  std::vector<SharedSample> shared_samples;
-  TablePrinter shared_table({"tenants", "catalog", "jobs/s",
-                             "speedup vs private", "xjob hit%",
-                             "bytes saved", "compute (s)"});
-  for (const int tenants : tenant_sweep) {
-    double private_jps = 0.0;
-    for (const bool shared : {false, true}) {
-      const SharedSample s = RunSharedConfig(
-          &disk, wls.front(), tenants, kSharedJobsPerTenant, shared);
-      if (!shared) private_jps = s.jobs_per_second;
-      shared_samples.push_back(s);
-      shared_table.AddRow(
-          {std::to_string(tenants), shared ? "shared" : "private",
-           StrFormat("%.1f", s.jobs_per_second),
-           StrFormat("%.2fx", s.jobs_per_second / private_jps),
-           StrFormat("%.1f", 100.0 * s.cross_job_hit_rate),
-           FormatBytes(s.bytes_saved),
-           StrFormat("%.3f", s.total_compute_seconds)});
-    }
-  }
-  std::cout << "\n";
-  shared_table.Print(std::cout);
-
-  // -------------------------------------------------------------------
-  // 6. Tracing overhead (PR 6): the identical 4-tenant / 4-lane config
-  //    with tracing off vs on, best-of-N each. Off is the production
-  //    default (one branch per boundary — the zero-overhead-when-off
-  //    contract); on additionally shows the recorder's cost and, with
-  //    --trace, emits the Chrome trace artifact plus the metrics
-  //    registry's per-segment snapshot delta.
+  // 1. Tracing overhead: the identical 4-tenant / 4-lane config with
+  //    tracing off vs on, best-of-N each. Off is the production default
+  //    (one branch per boundary — the zero-overhead-when-off contract);
+  //    on additionally shows the recorder's cost and, with --trace,
+  //    emits the Chrome trace artifact plus the metrics registry's
+  //    per-segment snapshot delta.
   // -------------------------------------------------------------------
   // Smoke timed segments are ~1ms, so the disabled-vs-off comparison is
   // noise-dominated per rep; more best-of reps (they are cheap at smoke
-  // scale) keep the CI overhead gate stable.
+  // scale) keep the overhead gate stable.
   const int kTraceJobs = smoke ? 16 : 24;
   const int kTraceReps = smoke ? 5 : 3;
   double trace_off_jps = 0.0;       // no recorder wired at all
@@ -902,39 +275,37 @@ int Main(int argc, char** argv) {
   std::map<std::string, double> registry_delta;
   for (int rep = 0; rep < kTraceReps; ++rep) {
     trace_off_jps = std::max(
-        trace_off_jps,
-        RunTraceConfig(&disk, wls, kTraceJobs, nullptr, nullptr));
+        trace_off_jps, RunServiceConfig(&disk, wls, TraceOptions(nullptr),
+                                        kTraceJobs, false, nullptr));
     // The production tracing-off path: a recorder is attached but its
     // enabled flag is down, so every boundary pays exactly one relaxed
     // load and a branch. off vs disabled is the zero-overhead-when-off
-    // contract, gated in CI.
+    // contract, gated under --smoke.
     obs::TraceRecorderOptions disabled_options;
     disabled_options.enabled = false;
     obs::TraceRecorder disabled(disabled_options);
     trace_disabled_jps = std::max(
         trace_disabled_jps,
-        RunTraceConfig(&disk, wls, kTraceJobs, &disabled, nullptr));
+        RunServiceConfig(&disk, wls, TraceOptions(&disabled), kTraceJobs,
+                         false, nullptr));
     // Fresh recorder per rep: the artifact holds exactly one service
     // run's spans, so job ids are unambiguous.
     recorder = std::make_unique<obs::TraceRecorder>();
     registry_delta.clear();
     trace_on_jps = std::max(
-        trace_on_jps, RunTraceConfig(&disk, wls, kTraceJobs,
-                                     recorder.get(), &registry_delta));
+        trace_on_jps,
+        RunServiceConfig(&disk, wls, TraceOptions(recorder.get()),
+                         kTraceJobs, false, &registry_delta));
   }
-  auto overhead_vs_off = [&](double jps) {
-    return trace_off_jps <= 0.0 ? 0.0
-                                : (trace_off_jps - jps) / trace_off_jps;
-  };
-  const double trace_overhead = overhead_vs_off(trace_on_jps);
-  const double disabled_overhead = overhead_vs_off(trace_disabled_jps);
+  const double trace_overhead = OverheadVs(trace_off_jps, trace_on_jps);
+  const double disabled_overhead =
+      OverheadVs(trace_off_jps, trace_disabled_jps);
   TablePrinter trace_table({"tracing", "jobs/s", "overhead"});
   trace_table.AddRow({"off", StrFormat("%.1f", trace_off_jps), "-"});
   trace_table.AddRow({"disabled", StrFormat("%.1f", trace_disabled_jps),
                       StrFormat("%.1f%%", 100.0 * disabled_overhead)});
   trace_table.AddRow({"on", StrFormat("%.1f", trace_on_jps),
                       StrFormat("%.1f%%", 100.0 * trace_overhead)});
-  std::cout << "\n";
   trace_table.Print(std::cout);
   std::cout << StrFormat(
       "events recorded: %zu (dropped %lld)\n", recorder->event_count(),
@@ -958,14 +329,14 @@ int Main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // 7. Cancellation / deadline overhead (PR 8): the same steady-state
-  //    service with plain jobs vs every job carrying a far deadline.
-  //    The cancel token is polled at every stage / node / morsel /
-  //    materialize boundary either way; a live deadline makes each poll
-  //    also read the clock. The ratio is the price of the fault-
-  //    tolerance layer on the fault-free hot path, gated loosely in CI
-  //    (smoke segments are noisy); the <2% claim is measured on quiet
-  //    hardware against the committed BENCH_pr7.json baseline.
+  // 2. Cancellation / deadline overhead: the same steady-state service
+  //    with plain jobs vs every job carrying a far deadline. The cancel
+  //    token is polled at every stage / node / morsel / materialize
+  //    boundary either way; a live deadline makes each poll also read
+  //    the clock. The ratio is the price of the fault-tolerance layer on
+  //    the fault-free hot path, gated loosely under --smoke (smoke
+  //    segments are noisy); the PR 8 entry of CHANGES.md records the
+  //    quiet-hardware figure (-3.6%, the noise floor).
   // -------------------------------------------------------------------
   const int kCancelJobs = smoke ? 16 : 24;
   const int kCancelReps = smoke ? 5 : 3;
@@ -973,15 +344,14 @@ int Main(int argc, char** argv) {
   double cancel_deadline_jps = 0.0;
   for (int rep = 0; rep < kCancelReps; ++rep) {
     cancel_plain_jps = std::max(
-        cancel_plain_jps, RunCancelConfig(&disk, wls, kCancelJobs, false));
+        cancel_plain_jps, RunServiceConfig(&disk, wls, CancelOptions(),
+                                           kCancelJobs, false, nullptr));
     cancel_deadline_jps = std::max(
-        cancel_deadline_jps,
-        RunCancelConfig(&disk, wls, kCancelJobs, true));
+        cancel_deadline_jps, RunServiceConfig(&disk, wls, CancelOptions(),
+                                              kCancelJobs, true, nullptr));
   }
   const double cancel_overhead =
-      cancel_plain_jps <= 0.0
-          ? 0.0
-          : (cancel_plain_jps - cancel_deadline_jps) / cancel_plain_jps;
+      OverheadVs(cancel_plain_jps, cancel_deadline_jps);
   TablePrinter cancel_table({"jobs", "jobs/s", "overhead"});
   cancel_table.AddRow(
       {"plain", StrFormat("%.1f", cancel_plain_jps), "-"});
@@ -991,257 +361,30 @@ int Main(int argc, char** argv) {
   cancel_table.Print(std::cout);
 
   // -------------------------------------------------------------------
-  // 8. Compressed residency + spill (PR 9): the string-heavy workload
-  //    at low/medium/high key cardinality, repeat tenants at a budget
-  //    tight enough that plain-string MV outputs evict. Dictionary
-  //    residency packs more MVs into the same budget and the spill tier
-  //    serves what still overflows, so cross-job hits rise and follower
-  //    recompute falls; at high cardinality (near-unique strings) the
-  //    encoder declines and the two configs converge — the honesty
-  //    check. The low-cardinality pair is gated: spills and refills must
-  //    occur and the compressed config must strictly beat plain on hits
-  //    and recompute, also under --smoke in CI.
+  // 3. Checksum overhead: the verifying read mode (the serving default)
+  //    must stay within 5% of the unverified fast path, since the CRC
+  //    arithmetic rides along with parsing that already touches every
+  //    byte.
   // -------------------------------------------------------------------
-  const double kResidencyScale = smoke ? 0.2 : 0.5;
-  const int kResidencyFollowers = smoke ? 3 : 4;
-  struct ResidencyConfig {
-    workload::StringCardinality cardinality;
-    std::string name;
-    std::int64_t budget = 0;
-  };
-  // MV output size is bounded by group cardinality (32 categories x 32
-  // buckets at low), not by `scale`, so the tight low-cardinality budget
-  // is the same in smoke and full runs.
-  std::vector<ResidencyConfig> residency_sweep = {
-      {workload::StringCardinality::kLow, "low", 192LL * 1024},
-  };
-  if (!smoke) {
-    residency_sweep.push_back(
-        {workload::StringCardinality::kMedium, "medium", 2LL * 1024 * 1024});
-    residency_sweep.push_back(
-        {workload::StringCardinality::kHigh, "high", 8LL * 1024 * 1024});
-  }
-  std::vector<ResidencySample> residency_samples;
-  TablePrinter residency_table({"cardinality", "residency", "jobs/s",
-                                "xjob hits", "bytes saved", "compute (s)",
-                                "spills", "refills"});
-  for (const ResidencyConfig& config : residency_sweep) {
-    for (const bool compressed : {false, true}) {
-      const ResidencySample s = RunResidencyConfig(
-          config.cardinality, config.name, compressed, config.budget,
-          kResidencyScale, kResidencyFollowers);
-      residency_samples.push_back(s);
-      residency_table.AddRow(
-          {config.name, compressed ? "dict+spill" : "plain",
-           StrFormat("%.1f", s.jobs_per_second),
-           std::to_string(s.cross_job_hits), FormatBytes(s.bytes_saved),
-           StrFormat("%.3f", s.total_compute_seconds),
-           std::to_string(s.spills), std::to_string(s.spill_refills)});
-    }
-  }
-  std::cout << "\n";
-  residency_table.Print(std::cout);
-  // The gate: the low-cardinality pair ran first, plain then compressed.
-  // Smoke-only (the CI scenario): full sweeps run bigger data where the
-  // single-run compute comparison is noise-dominated — the strict
-  // version of that claim is pinned by service_residency_test.
-  if (smoke) {
-    const ResidencySample& plain = residency_samples[0];
-    const ResidencySample& dict = residency_samples[1];
-    bool gate_ok = true;
-    if (dict.spills <= 0 || dict.spill_refills <= 0) {
-      std::cerr << "residency gate: expected spill activity, got spills="
-                << dict.spills << " refills=" << dict.spill_refills << "\n";
-      gate_ok = false;
-    }
-    if (dict.cross_job_hits <= plain.cross_job_hits) {
-      std::cerr << "residency gate: dict cross-job hits "
-                << dict.cross_job_hits << " not above plain "
-                << plain.cross_job_hits << "\n";
-      gate_ok = false;
-    }
-    if (dict.total_compute_seconds >= plain.total_compute_seconds) {
-      std::cerr << "residency gate: dict recompute "
-                << dict.total_compute_seconds << "s not below plain "
-                << plain.total_compute_seconds << "s\n";
-      gate_ok = false;
-    }
-    if (!gate_ok) return 1;
-    std::cout << StrFormat(
-        "\nresidency gate (low cardinality): hits %lld -> %lld, compute "
-        "%.3fs -> %.3fs, %lld spills / %lld refills: ok\n",
-        static_cast<long long>(plain.cross_job_hits),
-        static_cast<long long>(dict.cross_job_hits),
-        plain.total_compute_seconds, dict.total_compute_seconds,
-        static_cast<long long>(dict.spills),
-        static_cast<long long>(dict.spill_refills));
-  }
-
-  // -------------------------------------------------------------------
-  // 9. Durability (PR 10): (a) checksum-overhead gate — the verifying
-  //    read mode (the serving default) must stay within 5% of the
-  //    unverified fast path, since the CRC arithmetic rides along with
-  //    parsing that already touches every byte; (b) kill-and-restart
-  //    recovery smoke — a durable-spill service is torn down
-  //    mid-population and a fresh one recovers the manifest's spill
-  //    files as warm cross-job residency. Both gated under --smoke (the
-  //    CI scenario).
-  // -------------------------------------------------------------------
-  // Sized so that one unverified read takes over 10 ms (~17 MB of
-  // SCC1): with a shorter denominator, timer and scheduler noise alone
-  // swing the ratio by several percent.
-  const std::int64_t kChecksumRows = 1'000'000;
-  engine::Table checksum_table = [&] {
-    std::vector<std::int64_t> ints;
-    std::vector<double> doubles;
-    std::vector<std::string> strs;
-    ints.reserve(static_cast<std::size_t>(kChecksumRows));
-    doubles.reserve(static_cast<std::size_t>(kChecksumRows));
-    strs.reserve(static_cast<std::size_t>(kChecksumRows));
-    for (std::int64_t i = 0; i < kChecksumRows; ++i) {
-      ints.push_back(i * 2654435761LL);
-      doubles.push_back(static_cast<double>(i) * 0.5);
-      strs.push_back("cat_" + std::to_string(i % 64));
-    }
-    std::vector<engine::Column> cols;
-    cols.push_back(engine::Column::FromInts(std::move(ints)));
-    cols.push_back(engine::Column::FromDoubles(std::move(doubles)));
-    cols.push_back(engine::Column::FromStrings(std::move(strs)));
-    return engine::Table(
-        engine::Schema({engine::Field{"k", engine::DataType::kInt64},
-                        engine::Field{"v", engine::DataType::kFloat64},
-                        engine::Field{"s", engine::DataType::kString}}),
-        std::move(cols));
-  }();
   // The smoke gate rides on these timings, so it takes more reps than
   // the full run: the median ratio steadies with N.
   const int kChecksumReps = smoke ? 21 : 11;
   const ChecksumOverheadSample checksum =
-      RunChecksumOverhead(checksum_table, kChecksumReps);
-  TablePrinter checksum_table_out(
+      RunChecksumOverhead(ChecksumTable(), kChecksumReps);
+  TablePrinter checksum_table(
       {"bytes", "best read (ms)", "best verified (ms)", "median overhead"});
-  checksum_table_out.AddRow(
+  checksum_table.AddRow(
       {FormatBytes(checksum.bytes),
        StrFormat("%.2f", 1e3 * checksum.unverified_seconds),
        StrFormat("%.2f", 1e3 * checksum.verified_seconds),
        StrFormat("%.1f%%", 100.0 * checksum.overhead_fraction)});
   std::cout << "\n";
-  checksum_table_out.Print(std::cout);
-
-  const RecoverySample recovery =
-      RunRecoverySection(kResidencyScale, kResidencyFollowers);
-  TablePrinter recovery_table(
-      {"spills", "parked", "recovered", "bytes", "refills", "xjob hits",
-       "hit rate", "corrupt"});
-  recovery_table.AddRow(
-      {std::to_string(recovery.spills),
-       std::to_string(recovery.spilled_at_shutdown),
-       std::to_string(recovery.recovered_entries),
-       FormatBytes(recovery.recovered_bytes),
-       std::to_string(recovery.refills_after_restart),
-       std::to_string(recovery.cross_job_hits_after_restart),
-       StrFormat("%.2f", recovery.hit_rate_after_restart),
-       std::to_string(recovery.corrupt_files)});
-  std::cout << "\n";
-  recovery_table.Print(std::cout);
-
-  if (smoke) {
-    bool durability_ok = true;
-    if (checksum.overhead_fraction > 0.05) {
-      std::cerr << "durability gate: verified read overhead "
-                << StrFormat("%.1f%%", 100.0 * checksum.overhead_fraction)
-                << " exceeds 5%\n";
-      durability_ok = false;
-    }
-    if (recovery.recovered_entries <= 0 ||
-        recovery.refills_after_restart <= 0 ||
-        recovery.cross_job_hits_after_restart <= 0) {
-      std::cerr << "durability gate: recovery served nothing (recovered="
-                << recovery.recovered_entries
-                << " refills=" << recovery.refills_after_restart
-                << " hits=" << recovery.cross_job_hits_after_restart
-                << ")\n";
-      durability_ok = false;
-    }
-    if (recovery.corrupt_files != 0) {
-      std::cerr << "durability gate: clean recovery reported "
-                << recovery.corrupt_files << " corrupt files\n";
-      durability_ok = false;
-    }
-    if (!durability_ok) return 1;
-    std::cout << StrFormat(
-        "\ndurability gate: checksum overhead %.1f%%, recovery %lld "
-        "entries -> %lld refills, %lld corrupt: ok\n",
-        100.0 * checksum.overhead_fraction,
-        static_cast<long long>(recovery.recovered_entries),
-        static_cast<long long>(recovery.refills_after_restart),
-        static_cast<long long>(recovery.corrupt_files));
-  }
+  checksum_table.Print(std::cout);
 
   std::ostringstream json;
-  json << "{\"bench\":\"service_throughput\",\"jobs\":" << kJobs
-       << ",\"samples\":[";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const Sample& s = samples[i];
-    if (i > 0) json << ",";
-    json << StrFormat(
-        "{\"workers\":%d,\"jobs_per_second\":%.3f,"
-        "\"p50_latency_seconds\":%.6f,\"p99_latency_seconds\":%.6f,"
-        "\"mean_queue_wait_seconds\":%.6f,\"catalog_hit_rate\":%.4f}",
-        s.workers, s.jobs_per_second, s.p50_seconds, s.p99_seconds,
-        s.mean_queue_wait_seconds, s.catalog_hit_rate);
-  }
-  json << "],\"lane_sweep\":{\"jobs\":" << kLaneJobs << ",\"samples\":[";
-  for (std::size_t i = 0; i < lane_samples.size(); ++i) {
-    const Sample& s = lane_samples[i];
-    if (i > 0) json << ",";
-    json << StrFormat(
-        "{\"workers\":%d,\"lanes\":%d,\"jobs_per_second\":%.3f,"
-        "\"p99_latency_seconds\":%.6f,\"speedup_vs_one_lane\":%.4f,"
-        "\"thread_starts_per_job\":%.4f,\"lane_utilization\":%.4f}",
-        s.workers, s.lanes, s.jobs_per_second, s.p99_seconds,
-        s.jobs_per_second / lane1_jps[s.workers],
-        s.thread_starts_per_job, s.lane_utilization);
-  }
-  json << "]},\"wide_dag\":{\"width\":12,\"samples\":[";
-  for (std::size_t i = 0; i < wide_samples.size(); ++i) {
-    const WideSample& s = wide_samples[i];
-    if (i > 0) json << ",";
-    json << StrFormat(
-        "{\"lanes\":%d,\"wall_seconds\":%.6f,"
-        "\"speedup_vs_one_lane\":%.4f,\"thread_starts\":%lld,"
-        "\"lane_utilization\":%.4f,\"reserve_denials\":%lld}",
-        s.lanes, s.wall_seconds, s.speedup,
-        static_cast<long long>(s.thread_starts), s.lane_utilization,
-        static_cast<long long>(s.reserve_denials));
-  }
-  json << "]},\"widen_stages\":{\"chains\":4,\"depth\":4,\"lanes\":4,"
-       << "\"samples\":[";
-  for (std::size_t i = 0; i < widen_samples.size(); ++i) {
-    const WidenSample& s = widen_samples[i];
-    if (i > 0) json << ",";
-    json << StrFormat(
-        "{\"widened\":%s,\"wall_seconds\":%.6f,"
-        "\"lane_utilization\":%.4f,\"speedup_vs_madfs\":%.4f}",
-        s.widened ? "true" : "false", s.wall_seconds, s.lane_utilization,
-        madfs_wall / s.wall_seconds);
-  }
-  json << "]},\"shared_catalog\":{\"jobs_per_tenant\":"
-       << kSharedJobsPerTenant << ",\"samples\":[";
-  for (std::size_t i = 0; i < shared_samples.size(); ++i) {
-    const SharedSample& s = shared_samples[i];
-    if (i > 0) json << ",";
-    json << StrFormat(
-        "{\"tenants\":%d,\"shared\":%s,\"jobs_per_second\":%.3f,"
-        "\"cross_job_hit_rate\":%.4f,\"cross_job_bytes_saved\":%lld,"
-        "\"total_compute_seconds\":%.6f}",
-        s.tenants, s.shared ? "true" : "false", s.jobs_per_second,
-        s.cross_job_hit_rate,
-        static_cast<long long>(s.bytes_saved),
-        s.total_compute_seconds);
-  }
+  json << "{\"bench\":\"service_throughput\"";
   json << StrFormat(
-      "]},\"trace_overhead\":{\"jobs\":%d,"
+      ",\"trace_overhead\":{\"jobs\":%d,"
       "\"jobs_per_second_off\":%.3f,"
       "\"jobs_per_second_disabled\":%.3f,"
       "\"jobs_per_second_on\":%.3f,"
@@ -1259,53 +402,40 @@ int Main(int argc, char** argv) {
       kCancelJobs, cancel_plain_jps, cancel_deadline_jps,
       cancel_overhead);
   json << StrFormat(
-      ",\"residency\":{\"scale\":%.3f,\"followers\":%d,\"samples\":[",
-      kResidencyScale, kResidencyFollowers);
-  for (std::size_t i = 0; i < residency_samples.size(); ++i) {
-    const ResidencySample& s = residency_samples[i];
-    if (i > 0) json << ",";
-    json << StrFormat(
-        "{\"cardinality\":\"%s\",\"distinct\":%lld,\"compressed\":%s,"
-        "\"budget_bytes\":%lld,\"jobs_per_second\":%.3f,"
-        "\"cross_job_hits\":%lld,\"cross_job_bytes_saved\":%lld,"
-        "\"total_compute_seconds\":%.6f,\"spills\":%lld,"
-        "\"spill_refills\":%lld,\"spill_bytes\":%lld}",
-        s.cardinality.c_str(), static_cast<long long>(s.distinct),
-        s.compressed ? "true" : "false",
-        static_cast<long long>(s.budget), s.jobs_per_second,
-        static_cast<long long>(s.cross_job_hits),
-        static_cast<long long>(s.bytes_saved), s.total_compute_seconds,
-        static_cast<long long>(s.spills),
-        static_cast<long long>(s.spill_refills),
-        static_cast<long long>(s.spill_bytes));
-  }
-  json << "]}";
-  json << StrFormat(
       ",\"durability\":{\"checksum_overhead\":{\"bytes\":%lld,"
       "\"unverified_seconds\":%.6f,\"verified_seconds\":%.6f,"
-      "\"overhead_fraction\":%.4f}",
+      "\"overhead_fraction\":%.4f}}}",
       static_cast<long long>(checksum.bytes), checksum.unverified_seconds,
       checksum.verified_seconds, checksum.overhead_fraction);
-  json << StrFormat(
-      ",\"recovery\":{\"spills\":%lld,\"spilled_at_shutdown\":%lld,"
-      "\"recovered_entries\":%lld,\"recovered_bytes\":%lld,"
-      "\"orphans_removed\":%lld,\"corrupt_files\":%lld,"
-      "\"refills_after_restart\":%lld,"
-      "\"cross_job_hits_after_restart\":%lld,"
-      "\"hit_rate_after_restart\":%.4f}}",
-      static_cast<long long>(recovery.spills),
-      static_cast<long long>(recovery.spilled_at_shutdown),
-      static_cast<long long>(recovery.recovered_entries),
-      static_cast<long long>(recovery.recovered_bytes),
-      static_cast<long long>(recovery.orphans_removed),
-      static_cast<long long>(recovery.corrupt_files),
-      static_cast<long long>(recovery.refills_after_restart),
-      static_cast<long long>(recovery.cross_job_hits_after_restart),
-      recovery.hit_rate_after_restart);
-  json << "}";
   std::cout << "\n" << json.str() << "\n";
   std::ofstream(out_path) << json.str() << "\n";
-  return 0;
+
+  if (!smoke) return 0;
+  // The --smoke gates. Bounds are loose for smoke-scale noise on shared
+  // CI hosts; a gate that fails names its measured fraction.
+  struct Gate {
+    const char* name;
+    double fraction;
+    bool ok;
+    const char* bound;
+  };
+  const Gate gates[] = {
+      {"tracing-off (disabled recorder) overhead", disabled_overhead,
+       disabled_overhead < 0.10, "< 10%"},
+      {"cancellation/deadline overhead", cancel_overhead,
+       cancel_overhead < 0.10, "< 10%"},
+      {"checksum (verified read) overhead", checksum.overhead_fraction,
+       checksum.overhead_fraction <= 0.05, "<= 5%"},
+  };
+  bool all_ok = true;
+  std::cout << "\n";
+  for (const Gate& gate : gates) {
+    (gate.ok ? std::cout : std::cerr) << StrFormat(
+        "gate: %s %.1f%% (bound %s): %s\n", gate.name,
+        100.0 * gate.fraction, gate.bound, gate.ok ? "ok" : "FAILED");
+    all_ok = all_ok && gate.ok;
+  }
+  return all_ok ? 0 : 1;
 }
 
 }  // namespace

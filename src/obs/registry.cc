@@ -30,8 +30,7 @@ void Histogram::Observe(double v) {
         1, std::memory_order_relaxed);
   }
   count_.fetch_add(1, std::memory_order_relaxed);
-  sum_micros_.fetch_add(static_cast<std::int64_t>(v * 1e6),
-                        std::memory_order_relaxed);
+  sum_.fetch_add(v, std::memory_order_relaxed);
 }
 
 std::int64_t Histogram::cumulative(std::size_t i) const {
@@ -41,11 +40,6 @@ std::int64_t Histogram::cumulative(std::size_t i) const {
     total += buckets_[b].load(std::memory_order_relaxed);
   }
   return total;
-}
-
-double Histogram::sum() const {
-  return static_cast<double>(sum_micros_.load(std::memory_order_relaxed)) /
-         1e6;
 }
 
 std::vector<double> Histogram::LatencyBounds() {

@@ -85,7 +85,7 @@ class Histogram {
   std::int64_t count() const {
     return count_.load(std::memory_order_relaxed);
   }
-  double sum() const;
+  double sum() const { return sum_.load(std::memory_order_relaxed); }
 
   /// Default latency bounds: 100us .. ~105s, sqrt(2) apart (41 bounds),
   /// so a quantile interpolated by HistogramQuantile lies in the bucket
@@ -97,7 +97,7 @@ class Histogram {
   // Non-cumulative per-bucket counts; cumulated at read time.
   std::vector<std::atomic<std::int64_t>> buckets_;
   std::atomic<std::int64_t> count_{0};
-  std::atomic<std::int64_t> sum_micros_{0};  // sum in 1e-6 units
+  std::atomic<double> sum_{0.0};
 };
 
 /// Prometheus `histogram_quantile` over Histogram::cumulative-style

@@ -916,24 +916,11 @@ RunReport Controller::RunWithBudget(const workload::MvWorkload& wl,
     return report;
   }
 
-  // Standalone stage-aware ordering: widen early antichains within the
-  // budget. Runs after validation (so invalid plans keep the error-report
-  // contract); the widened plan needs no revalidation — the order stays
-  // topological and the memory gate keeps the peak within the budget.
-  // A widened order invalidates any caller-supplied decomposition.
-  const opt::Plan* active = &plan;
-  opt::Plan widened;
-  if (options_.widen_stages) {
-    widened = opt::WidenStagesPrefix(wl.graph, plan, budget);
-    if (widened.order.sequence != plan.order.sequence) stages = nullptr;
-    active = &widened;
-  }
-
   std::optional<opt::StageDecomposition> local_stages;
   if (stages == nullptr ||
       stages->stage_of.size() !=
           static_cast<std::size_t>(wl.graph.num_nodes())) {
-    local_stages.emplace(opt::DecomposeStages(wl.graph, active->order));
+    local_stages.emplace(opt::DecomposeStages(wl.graph, plan.order));
     stages = &*local_stages;
   }
   const int lanes = std::min<int>(
@@ -953,7 +940,7 @@ RunReport Controller::RunWithBudget(const workload::MvWorkload& wl,
     return report;
   }
 
-  RunState state(wl, *active, *stages, options_, disk_, *pool_, budget);
+  RunState state(wl, plan, *stages, options_, disk_, *pool_, budget);
   // Classifies a failed run as cooperatively cancelled. The stage
   // runtime collapses worker exceptions into a string, so the check is
   // token state + the exact CancelledError message constants (never a

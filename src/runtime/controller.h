@@ -183,12 +183,6 @@ struct ControllerOptions {
   /// the dictionary columns disk reads return), reproducing the
   /// pre-compression footprints.
   bool compress_residency = true;
-  /// Applies the opt::WidenStagesPrefix post-pass to the plan before
-  /// executing: reorders the total order stage-major among
-  /// budget-feasible leading stages so early antichains are as wide as
-  /// possible. Off by default; the RefreshService instead widens at
-  /// optimization time so cached plans are widened once.
-  bool widen_stages = false;
   /// Cross-job shared residency layer. When set, the run's Memory
   /// Catalog becomes a per-job view over this content-keyed
   /// SharedCatalog: node names are bound to content fingerprints

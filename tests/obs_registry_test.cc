@@ -75,6 +75,17 @@ TEST(Histogram, CumulativeBucketsAndSum) {
   EXPECT_NEAR(h.sum(), 5.605, 1e-6);
 }
 
+// The sum keeps full precision: no rounding to a fixed unit, so a
+// sub-microsecond observation still counts.
+TEST(Histogram, SumIsExact) {
+  Histogram h(Histogram::LatencyBounds());
+  h.Observe(0.021587766);
+  EXPECT_EQ(h.sum(), 0.021587766);
+  Histogram tiny(Histogram::LatencyBounds());
+  tiny.Observe(4e-7);
+  EXPECT_GT(tiny.sum(), 0.0);
+}
+
 TEST(Histogram, LatencyBoundsAreAtMostSqrt2Apart) {
   const std::vector<double> bounds = Histogram::LatencyBounds();
   EXPECT_DOUBLE_EQ(bounds.front(), 1e-4);

@@ -159,10 +159,13 @@ TEST(CompressedResidencyTest, MoreHitsAndLessRecomputeThanPlainBaseline) {
   }
 
   // The acceptance criterion: strictly more cross-job service and
-  // strictly less follower recompute at the same budget.
+  // strictly less follower recompute at the same budget, with the spill
+  // tier taking what still overflows and serving it back.
   EXPECT_GT(SumCrossJobHits(treatment), SumCrossJobHits(baseline));
   EXPECT_LT(FollowerRecomputedNodes(treatment),
             FollowerRecomputedNodes(baseline));
+  EXPECT_GT(treatment_spills, 0);
+  EXPECT_GT(treatment_refills, 0);
 }
 
 TEST(CompressedResidencyTest, SpillTierServesRefillsUnderPressure) {

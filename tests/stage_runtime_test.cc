@@ -544,28 +544,6 @@ TEST(StageRuntimeTest, UnknownCostNodesAreNeverInlined) {
   EXPECT_EQ(report.parallel_lanes, 4);
 }
 
-// widen_stages must not break the error-report contract: an invalid plan
-// still yields report.error (validation runs before the widening pass,
-// whose DecomposeStages would otherwise throw out of Run).
-TEST(StageRuntimeTest, WidenStagesKeepsInvalidPlanErrorContract) {
-  const workload::MvWorkload wl = WideWorkload(4);
-  storage::ThrottledDisk disk(FreshDir("widen_invalid"), FastDisk());
-  ControllerOptions options;
-  options.widen_stages = true;
-  options.max_parallel_nodes = 4;
-  Controller controller(&disk, options);
-  opt::Plan bad;
-  // Reversed order: sink before its parents — not topological.
-  const graph::Order topo = graph::KahnTopologicalOrder(wl.graph);
-  std::vector<graph::NodeId> reversed(topo.sequence.rbegin(),
-                                      topo.sequence.rend());
-  bad.order = graph::Order::FromSequence(reversed);
-  bad.flags = opt::EmptyFlags(wl.graph.num_nodes());
-  const RunReport report = controller.Run(wl, bad);
-  EXPECT_FALSE(report.ok);
-  EXPECT_NE(report.error.find("invalid plan"), std::string::npos);
-}
-
 // Borrowed-pool mode: back-to-back parallel runs on one shared LanePool
 // reuse its lane threads instead of constructing a pool per run.
 TEST(StageRuntimeTest, SharedLanePoolReusedAcrossRuns) {
