@@ -15,9 +15,9 @@
 //
 // --smoke runs the CI sizes and gates the exit status: disabled-recorder
 // overhead < 10%, cancellation overhead < 10% and checksum overhead
-// <= 5%. --out overrides the JSON path. --trace writes the traced run's
-// Chrome trace (default BENCH_trace.json) for chrome://tracing /
-// trace_inspect.
+// <= 5%, each the median over reps of a back-to-back pair's ratio.
+// --out overrides the JSON path. --trace writes the traced run's Chrome
+// trace (default BENCH_trace.json) for chrome://tracing / trace_inspect.
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
@@ -117,6 +117,52 @@ service::ServiceOptions CancelOptions() {
   return options;
 }
 
+/// Median of `values` (the upper one for an even count); 0 when empty.
+double Median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                   values.end());
+  return values[values.size() / 2];
+}
+
+/// Jobs/s of two service configs measured in back-to-back pairs, one
+/// pair per rep.
+struct PairedJobsPerSecond {
+  std::vector<double> base;
+  std::vector<double> other;
+
+  /// Median over pairs of the fraction of `base` jobs/s lost by `other`.
+  /// A pair shares the host's momentary speed, so its ratio cancels what
+  /// a shared host does to both sides; one lucky ~1 ms segment moves a
+  /// best-of-N maximum but not the median.
+  double OverheadFraction() const {
+    std::vector<double> losses;
+    for (std::size_t i = 0; i < base.size() && i < other.size(); ++i) {
+      if (base[i] > 0.0) losses.push_back(1.0 - other[i] / base[i]);
+    }
+    return Median(std::move(losses));
+  }
+};
+
+/// Runs `reps` back-to-back pairs of `run_base` and `run_other`,
+/// alternating which side runs first so that neither always inherits
+/// the other's warm caches or pays for its teardown.
+template <typename RunBase, typename RunOther>
+PairedJobsPerSecond RunPairs(int reps, RunBase run_base,
+                             RunOther run_other) {
+  PairedJobsPerSecond pairs;
+  for (int rep = 0; rep < reps; ++rep) {
+    if (rep % 2 == 0) {
+      pairs.base.push_back(run_base());
+      pairs.other.push_back(run_other());
+    } else {
+      pairs.other.push_back(run_other());
+      pairs.base.push_back(run_base());
+    }
+  }
+  return pairs;
+}
+
 struct ChecksumOverheadSample {
   std::int64_t bytes = 0;
   double unverified_seconds = 0.0;  // best-of-reps single deserialize
@@ -165,11 +211,7 @@ ChecksumOverheadSample RunChecksumOverhead(const engine::Table& table,
   }
   std::error_code ec;
   std::filesystem::remove(path, ec);
-  if (!ratios.empty()) {
-    std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
-                     ratios.end());
-    sample.overhead_fraction = ratios[ratios.size() / 2] - 1.0;
-  }
+  if (!ratios.empty()) sample.overhead_fraction = Median(ratios) - 1.0;
   return sample;
 }
 
@@ -199,11 +241,6 @@ engine::Table ChecksumTable() {
                       engine::Field{"v", engine::DataType::kFloat64},
                       engine::Field{"s", engine::DataType::kString}}),
       std::move(cols));
-}
-
-/// Fraction of `base` jobs/s lost by `jps`; 0 when `base` is unmeasured.
-double OverheadVs(double base, double jps) {
-  return base <= 0.0 ? 0.0 : (base - jps) / base;
 }
 
 int Main(int argc, char** argv) {
@@ -256,51 +293,52 @@ int Main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // 1. Tracing overhead: the identical 4-tenant / 4-lane config with
-  //    tracing off vs on, best-of-N each. Off is the production default
-  //    (one branch per boundary — the zero-overhead-when-off contract);
-  //    on additionally shows the recorder's cost and, with --trace,
-  //    emits the Chrome trace artifact plus the metrics registry's
-  //    per-segment snapshot delta.
+  // 1. Tracing overhead: the identical 4-tenant / 4-lane config with no
+  //    recorder (off), a disabled recorder and tracing on, one of each
+  //    per rep. Disabled is the production tracing-off path (one branch
+  //    per boundary — the zero-overhead-when-off contract, gated under
+  //    --smoke as a paired off/disabled ratio); on shows the recorder's
+  //    cost and, with --trace, emits the Chrome trace artifact plus the
+  //    metrics registry's per-segment snapshot delta.
   // -------------------------------------------------------------------
-  // Smoke timed segments are ~1ms, so the disabled-vs-off comparison is
-  // noise-dominated per rep; more best-of reps (they are cheap at smoke
-  // scale) keep the overhead gate stable.
+  // Smoke timed segments are ~1ms, so a single pair is noise-dominated;
+  // the gate takes the median over many cheap pairs.
   const int kTraceJobs = smoke ? 16 : 24;
-  const int kTraceReps = smoke ? 5 : 3;
-  double trace_off_jps = 0.0;       // no recorder wired at all
-  double trace_disabled_jps = 0.0;  // recorder wired, enabled == false
-  double trace_on_jps = 0.0;
+  const int kTraceReps = smoke ? 21 : 11;
+  std::vector<double> trace_on_runs;
   std::unique_ptr<obs::TraceRecorder> recorder;
   std::map<std::string, double> registry_delta;
-  for (int rep = 0; rep < kTraceReps; ++rep) {
-    trace_off_jps = std::max(
-        trace_off_jps, RunServiceConfig(&disk, wls, TraceOptions(nullptr),
-                                        kTraceJobs, false, nullptr));
-    // The production tracing-off path: a recorder is attached but its
-    // enabled flag is down, so every boundary pays exactly one relaxed
-    // load and a branch. off vs disabled is the zero-overhead-when-off
-    // contract, gated under --smoke.
-    obs::TraceRecorderOptions disabled_options;
-    disabled_options.enabled = false;
-    obs::TraceRecorder disabled(disabled_options);
-    trace_disabled_jps = std::max(
-        trace_disabled_jps,
-        RunServiceConfig(&disk, wls, TraceOptions(&disabled), kTraceJobs,
-                         false, nullptr));
-    // Fresh recorder per rep: the artifact holds exactly one service
-    // run's spans, so job ids are unambiguous.
-    recorder = std::make_unique<obs::TraceRecorder>();
-    registry_delta.clear();
-    trace_on_jps = std::max(
-        trace_on_jps,
-        RunServiceConfig(&disk, wls, TraceOptions(recorder.get()),
-                         kTraceJobs, false, &registry_delta));
-  }
-  const double trace_overhead = OverheadVs(trace_off_jps, trace_on_jps);
-  const double disabled_overhead =
-      OverheadVs(trace_off_jps, trace_disabled_jps);
-  TablePrinter trace_table({"tracing", "jobs/s", "overhead"});
+  const PairedJobsPerSecond trace_pairs = RunPairs(
+      kTraceReps,
+      [&] {
+        return RunServiceConfig(&disk, wls, TraceOptions(nullptr),
+                                kTraceJobs, false, nullptr);
+      },
+      [&] {
+        obs::TraceRecorderOptions disabled_options;
+        disabled_options.enabled = false;
+        obs::TraceRecorder disabled(disabled_options);
+        const double jps =
+            RunServiceConfig(&disk, wls, TraceOptions(&disabled),
+                             kTraceJobs, false, nullptr);
+        // Tracing on, for reference: a fresh recorder per rep, so the
+        // artifact holds exactly one service run's spans and job ids
+        // are unambiguous.
+        recorder = std::make_unique<obs::TraceRecorder>();
+        registry_delta.clear();
+        trace_on_runs.push_back(
+            RunServiceConfig(&disk, wls, TraceOptions(recorder.get()),
+                             kTraceJobs, false, &registry_delta));
+        return jps;
+      });
+  const double trace_off_jps = Median(trace_pairs.base);
+  const double trace_disabled_jps = Median(trace_pairs.other);
+  const double trace_on_jps = Median(trace_on_runs);
+  const double disabled_overhead = trace_pairs.OverheadFraction();
+  const double trace_overhead =
+      PairedJobsPerSecond{trace_pairs.base, trace_on_runs}
+          .OverheadFraction();
+  TablePrinter trace_table({"tracing", "median jobs/s", "median overhead"});
   trace_table.AddRow({"off", StrFormat("%.1f", trace_off_jps), "-"});
   trace_table.AddRow({"disabled", StrFormat("%.1f", trace_disabled_jps),
                       StrFormat("%.1f%%", 100.0 * disabled_overhead)});
@@ -330,29 +368,30 @@ int Main(int argc, char** argv) {
 
   // -------------------------------------------------------------------
   // 2. Cancellation / deadline overhead: the same steady-state service
-  //    with plain jobs vs every job carrying a far deadline. The cancel
-  //    token is polled at every stage / node / morsel / materialize
-  //    boundary either way; a live deadline makes each poll also read
-  //    the clock. The ratio is the price of the fault-tolerance layer on
-  //    the fault-free hot path, gated loosely under --smoke (smoke
-  //    segments are noisy); the PR 8 entry of CHANGES.md records the
-  //    quiet-hardware figure (-3.6%, the noise floor).
+  //    with plain jobs vs every job carrying a far deadline, in
+  //    back-to-back pairs. The cancel token is polled at every stage /
+  //    node / morsel / materialize boundary either way; a live deadline
+  //    makes each poll also read the clock. The paired ratio is the
+  //    price of the fault-tolerance layer on the fault-free hot path,
+  //    gated loosely under --smoke (smoke segments are noisy); on quiet
+  //    hardware it measured -3.6%, the noise floor.
   // -------------------------------------------------------------------
   const int kCancelJobs = smoke ? 16 : 24;
-  const int kCancelReps = smoke ? 5 : 3;
-  double cancel_plain_jps = 0.0;
-  double cancel_deadline_jps = 0.0;
-  for (int rep = 0; rep < kCancelReps; ++rep) {
-    cancel_plain_jps = std::max(
-        cancel_plain_jps, RunServiceConfig(&disk, wls, CancelOptions(),
-                                           kCancelJobs, false, nullptr));
-    cancel_deadline_jps = std::max(
-        cancel_deadline_jps, RunServiceConfig(&disk, wls, CancelOptions(),
-                                              kCancelJobs, true, nullptr));
-  }
-  const double cancel_overhead =
-      OverheadVs(cancel_plain_jps, cancel_deadline_jps);
-  TablePrinter cancel_table({"jobs", "jobs/s", "overhead"});
+  const int kCancelReps = smoke ? 21 : 11;
+  const PairedJobsPerSecond cancel_pairs = RunPairs(
+      kCancelReps,
+      [&] {
+        return RunServiceConfig(&disk, wls, CancelOptions(), kCancelJobs,
+                                false, nullptr);
+      },
+      [&] {
+        return RunServiceConfig(&disk, wls, CancelOptions(), kCancelJobs,
+                                true, nullptr);
+      });
+  const double cancel_plain_jps = Median(cancel_pairs.base);
+  const double cancel_deadline_jps = Median(cancel_pairs.other);
+  const double cancel_overhead = cancel_pairs.OverheadFraction();
+  TablePrinter cancel_table({"jobs", "median jobs/s", "median overhead"});
   cancel_table.AddRow(
       {"plain", StrFormat("%.1f", cancel_plain_jps), "-"});
   cancel_table.AddRow({"deadline", StrFormat("%.1f", cancel_deadline_jps),

@@ -63,11 +63,5 @@ int main() {
             << "s unoptimized -> " << StrFormat("%.2f", sc)
             << "s with S/C (" << StrFormat("%.2fx", noopt / sc)
             << " speedup)\n";
-
-  // 5. Export the annotated graph for visualization.
-  graph::DotOptions dot;
-  dot.highlighted = opt::FlaggedNodes(result.plan.flags);
-  std::cout << "\nGraphviz (flagged nodes filled):\n"
-            << graph::ToDot(g, dot);
   return 0;
 }

@@ -29,11 +29,8 @@
 #include "cost/speedup.h"
 #include "engine/executor.h"
 #include "engine/plan.h"
-#include "engine/plan_serde.h"
-#include "graph/dot.h"
 #include "graph/fingerprint.h"
 #include "graph/graph.h"
-#include "graph/serde.h"
 #include "graph/topo.h"
 #include "opt/alternating.h"
 #include "opt/constraints.h"
@@ -61,7 +58,6 @@
 #include "workload/dag_gen.h"
 #include "workload/datagen.h"
 #include "workload/scale_model.h"
-#include "workload/workload_io.h"
 #include "workload/workloads.h"
 
 #endif  // SC_API_SC_H_

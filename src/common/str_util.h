@@ -13,11 +13,7 @@ std::vector<std::string> Split(std::string_view text, char sep);
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// Removes leading/trailing ASCII whitespace.
-std::string Trim(std::string_view text);
-
 bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -39,7 +39,6 @@ RefreshService::RefreshService(storage::ThrottledDisk* disk,
       lanes_broker_(std::max(1, options_.num_workers),
                     options_.max_intra_job_lanes),
       lane_pool_(std::max(1, options_.num_workers)),
-      plan_cache_(options_.plan_cache_capacity),
       shared_catalog_(options_.global_budget, 8, [&] {
         storage::SpillOptions spill;
         spill.directory = options_.spill_directory;
@@ -406,9 +405,7 @@ JobResult RefreshService::Execute(Job& job) {
   result.tenant = job.spec.tenant;
   result.requested_budget =
       job.spec.requested_budget > 0 ? job.spec.requested_budget
-      : options_.default_job_budget > 0
-          ? options_.default_job_budget
-          : options_.global_budget;
+                                     : options_.global_budget;
 
   // Trace the job's waiting states on this worker's track: time in the
   // admission queue (submit -> this worker picking it up), then time
@@ -622,8 +619,6 @@ JobResult RefreshService::Execute(Job& job) {
     result.lanes = lanes;
     runtime::ControllerOptions controller_options;
     controller_options.max_parallel_nodes = lanes;
-    controller_options.inline_node_cost_seconds =
-        options_.inline_node_cost_seconds;
     controller_options.compress_residency = options_.compress_residency;
     // Runs borrow lanes and materializer drains from the service-wide
     // pool — zero thread construction per job in steady state.

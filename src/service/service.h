@@ -45,23 +45,14 @@ struct ServiceOptions {
   /// stage-aware ordering post-pass (opt::WidenStages) so cached plans
   /// feed the lanes as wide an early antichain as peak memory allows.
   int max_intra_job_lanes = 1;
-  /// Inline small-node dispatch threshold forwarded to every job's
-  /// Controller (ControllerOptions::inline_node_cost_seconds): parallel
-  /// runs execute nodes estimated at or below this many seconds on the
-  /// coordinator thread instead of a pool lane. <= 0 disables inlining.
-  double inline_node_cost_seconds = 0.001;
   /// Global Memory-Catalog bytes shared by all in-flight jobs.
   std::int64_t global_budget = 256LL * 1024 * 1024;
-  /// Per-job budget request when the job does not name one. 0 = ask for
-  /// the whole global budget (the broker scales it down under load).
-  std::int64_t default_job_budget = 0;
   /// Default per-tenant reservation cap (0 = uncapped); per-tenant
   /// overrides via RefreshService::SetTenantQuota.
   std::int64_t default_tenant_quota = 0;
   /// Minimum fundable fraction of a request before admission (see
   /// BudgetBrokerOptions::min_grant_fraction).
   double min_grant_fraction = 0.25;
-  std::size_t plan_cache_capacity = 128;
   /// Cross-job Memory-Catalog sharing: route every worker's runs through
   /// one content-keyed storage::SharedCatalog (budget = global_budget),
   /// so tenants refreshing the same content read each other's resident
@@ -149,9 +140,9 @@ struct RefreshJobSpec {
   /// Higher runs earlier; admission and budget arbitration are both
   /// priority-aware.
   int priority = 0;
-  /// Memory-Catalog bytes this job asks the broker for. 0 = the service
-  /// default. The grant may be smaller; the plan is then re-optimized at
-  /// the granted budget.
+  /// Memory-Catalog bytes this job asks the broker for. 0 = the whole
+  /// global budget (the broker scales it down under load). The grant may
+  /// be smaller; the plan is then re-optimized at the granted budget.
   std::int64_t requested_budget = 0;
   /// End-to-end deadline in seconds, relative to Submit. Once it expires
   /// the job is cancelled wherever it is — queued, blocked in budget

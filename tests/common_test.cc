@@ -107,16 +107,9 @@ TEST(StrUtilTest, JoinRoundTrip) {
   EXPECT_EQ(Join({}, ","), "");
 }
 
-TEST(StrUtilTest, TrimWhitespace) {
-  EXPECT_EQ(Trim("  hello \t\n"), "hello");
-  EXPECT_EQ(Trim("   "), "");
-}
-
-TEST(StrUtilTest, StartsEndsWith) {
+TEST(StrUtilTest, StartsWith) {
   EXPECT_TRUE(StartsWith("store_sales", "store"));
   EXPECT_FALSE(StartsWith("ss", "store"));
-  EXPECT_TRUE(EndsWith("table.sct", ".sct"));
-  EXPECT_FALSE(EndsWith("x", ".sct"));
 }
 
 TEST(StrUtilTest, StrFormatBasics) {

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 
-#include "graph/dot.h"
 #include "graph/fingerprint.h"
 #include "graph/graph.h"
-#include "graph/serde.h"
 #include "graph/topo.h"
 #include "test_util.h"
 
@@ -169,56 +167,6 @@ TEST(TopoTest, LongestPath) {
   EXPECT_EQ(LongestPathLength(Graph{}), 0);
 }
 
-TEST(DotTest, RendersNodesAndEdges) {
-  const Graph g = test::DiamondGraph();
-  DotOptions options;
-  options.highlighted = {1};
-  const std::string dot = ToDot(g, options);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("n0 -> n1"), std::string::npos);
-  EXPECT_NE(dot.find("lightblue"), std::string::npos);
-}
-
-TEST(SerdeTest, RoundTrip) {
-  const Graph g = test::Figure7Graph();
-  Graph parsed;
-  std::string error;
-  ASSERT_TRUE(Deserialize(Serialize(g), &parsed, &error)) << error;
-  ASSERT_EQ(parsed.num_nodes(), g.num_nodes());
-  ASSERT_EQ(parsed.num_edges(), g.num_edges());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(parsed.node(v).name, g.node(v).name);
-    EXPECT_EQ(parsed.node(v).size_bytes, g.node(v).size_bytes);
-    EXPECT_DOUBLE_EQ(parsed.node(v).speedup_score, g.node(v).speedup_score);
-    EXPECT_EQ(parsed.children(v), g.children(v));
-  }
-}
-
-TEST(SerdeTest, RejectsUnknownDirective) {
-  Graph g;
-  std::string error;
-  EXPECT_FALSE(Deserialize("vertex a 1 2", &g, &error));
-  EXPECT_NE(error.find("unknown directive"), std::string::npos);
-}
-
-TEST(SerdeTest, RejectsEdgeToUnknownNode) {
-  Graph g;
-  std::string error;
-  EXPECT_FALSE(Deserialize("node a 1 0 0 0\nedge a b\n", &g, &error));
-  EXPECT_NE(error.find("unknown node"), std::string::npos);
-}
-
-TEST(SerdeTest, IgnoresCommentsAndBlankLines) {
-  Graph g;
-  std::string error;
-  ASSERT_TRUE(
-      Deserialize("# hello\n\nnode a 5 1 0 0\n  \nnode b 6 2 0 0\nedge a b\n",
-                  &g, &error))
-      << error;
-  EXPECT_EQ(g.num_nodes(), 2);
-  EXPECT_EQ(g.num_edges(), 1);
-}
-
 TEST(FingerprintNodesTest, LineageSensitiveAndEdgeOrderInsensitive) {
   // Same names + same parent sets ⇒ same fingerprints, regardless of
   // node/edge insertion order.
@@ -264,18 +212,6 @@ TEST(FingerprintNodesTest, LineageSensitiveAndEdgeOrderInsensitive) {
   // The salt versions the whole key space.
   const auto salted = FingerprintNodes(a, /*salt=*/1);
   EXPECT_NE(salted[a_sink], fa[a_sink]);
-}
-
-TEST(SerdeTest, FileRoundTrip) {
-  const Graph g = test::Figure8Graph();
-  const std::string path =
-      testing::TempDir() + "/sc_serde_roundtrip.graph";
-  std::string error;
-  ASSERT_TRUE(SaveToFile(g, path, &error)) << error;
-  Graph loaded;
-  ASSERT_TRUE(LoadFromFile(path, &loaded, &error)) << error;
-  EXPECT_EQ(loaded.num_nodes(), g.num_nodes());
-  EXPECT_EQ(loaded.num_edges(), g.num_edges());
 }
 
 }  // namespace

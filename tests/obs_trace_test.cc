@@ -322,8 +322,6 @@ TEST(ServiceTraceTest, FourTenantFourLaneRunReconstructs) {
   options.num_workers = 8;
   options.max_intra_job_lanes = 4;
   options.global_budget = 32LL * 1024 * 1024;
-  // Force lane dispatch so the trace shows lane occupancy.
-  options.inline_node_cost_seconds = 0.0;
   options.trace = &recorder;
   RefreshService service(&disk, options);
 
@@ -367,8 +365,8 @@ TEST(ServiceTraceTest, FourTenantFourLaneRunReconstructs) {
   }
   EXPECT_EQ(tenants.size(), 4u);
 
-  // Lane occupancy: worker tracks (and lane tracks, since inlining is
-  // off) accumulated busy time inside the trace wall span.
+  // Track occupancy: worker tracks accumulated busy time inside the
+  // trace wall span.
   EXPECT_GT(analysis.wall_seconds, 0.0);
   bool any_worker_track = false;
   for (const auto& [track, busy] : analysis.track_busy_seconds) {

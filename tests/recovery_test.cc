@@ -193,6 +193,55 @@ TEST(RecoveryTest, OrphanFilesRemovedAtStartup) {
   EXPECT_EQ(SpillFiles(dir).size(), 1u);
 }
 
+TEST(RecoveryTest, ShrunkSpillCapDropsOldestEntriesAtRestart) {
+  const std::string dir = FreshDir("unit_shrunk_cap");
+  engine::TablePtr first = MakeTable(1);
+  std::int64_t total_spill_bytes = 0;
+  {
+    // A budget that holds one table: each publish spills the previous
+    // one, leaving keys 1 (oldest) and 2 spilled, both durable.
+    storage::SharedCatalog catalog(first->ByteSize() * 3 / 2, 8,
+                                   RecoverSpill(dir));
+    ASSERT_TRUE(catalog.Publish(1, first, first->ByteSize()));
+    for (int key = 2; key <= 3; ++key) {
+      engine::TablePtr table = MakeTable(key);
+      ASSERT_TRUE(catalog.Publish(key, table, table->ByteSize()));
+    }
+    ASSERT_EQ(catalog.spilled_entries(), 2u);
+    catalog.MarkDurable(1);
+    catalog.MarkDurable(2);
+    total_spill_bytes = catalog.spill_bytes();
+  }
+  ASSERT_EQ(SpillFiles(dir).size(), 2u);
+
+  // The restarted catalog's cap holds one file but not both.
+  storage::SpillOptions shrunk = RecoverSpill(dir);
+  shrunk.max_bytes = total_spill_bytes - 1;
+  {
+    storage::SharedCatalog catalog(first->ByteSize() * 2, 8, shrunk);
+    EXPECT_EQ(catalog.recovered_entries(), 2);
+    EXPECT_LE(catalog.spill_bytes(), shrunk.max_bytes);
+    EXPECT_EQ(catalog.spilled_entries(), 1u);
+    EXPECT_EQ(catalog.corrupt_files(), 0);
+    // The oldest entry was dropped: it misses, and its file is gone.
+    EXPECT_FALSE(catalog.Contains(1));
+    EXPECT_EQ(catalog.Pin(1), nullptr);
+    EXPECT_EQ(catalog.misses(), 1);
+    EXPECT_TRUE(catalog.Contains(2));
+    EXPECT_EQ(SpillFiles(dir).size(), 1u);
+  }
+  // The journal no longer names the dropped file.
+  storage::SpillManifest manifest(dir);
+  const storage::SpillManifest::OpenResult opened = manifest.Open();
+  ASSERT_EQ(opened.live.size(), 1u);
+  EXPECT_EQ(opened.live[0].key, 2u);
+  EXPECT_TRUE(opened.live[0].durable);
+  EXPECT_EQ(opened.corrupt_lines, 0);
+  const std::vector<std::string> after = SpillFiles(dir);
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(fs::path(after[0]).filename().string(), opened.live[0].file);
+}
+
 TEST(RecoveryTest, ScratchModeStillWipesDirectoryAndJournal) {
   const std::string dir = FreshDir("unit_scratch");
   {
