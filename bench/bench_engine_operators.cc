@@ -233,16 +233,17 @@ int Main(int argc, char** argv) {
 
   // -------------------------------------------------------------------
   // Morsel lane scaling: the same wide hash join / hash aggregate run
-  // under a MorselScope at 1/2/4/8 morsels, fanning interior build,
-  // probe, and partial-aggregate passes across a LanePool via
-  // runtime::LaneMorselRunner — exactly the path the stage runtime
-  // installs around a node. Speedup is relative to the 1-morsel run of
-  // the same binary (1 morsel takes the sequential code path).
+  // under a MorselScope at 1/2/4/8 morsels, fanning key hashing, the
+  // join's output gather and the aggregate's per-aggregate pass across
+  // a LanePool via runtime::LaneMorselRunner — exactly the path the
+  // stage runtime installs around a node. Build/probe and grouping stay
+  // on one sequential hash table. Speedup is relative to the 1-morsel
+  // run of the same binary (1 morsel takes the sequential code path).
   // -------------------------------------------------------------------
   Banner("Morsel lane scaling (intra-operator parallelism)",
-         "partitioned hash build/probe and partial-aggregate merge on "
-         "the LanePool; bit-identity vs scalar reference checked before "
-         "timing");
+         "parallel key hashing, join gather and aggregate pass 2 on the "
+         "LanePool around one sequential hash table; bit-identity vs "
+         "scalar reference checked before timing");
   struct MorselSample {
     std::string op;
     std::size_t rows = 0;

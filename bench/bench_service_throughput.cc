@@ -176,7 +176,8 @@ struct ChecksumOverheadSample {
 /// one representative table written to a file once, then read back
 /// through the file wrapper (the serving path — warehouse reads and
 /// spill refills both go through it) in back-to-back unverified and
-/// verified pairs. The overhead is the median of the per-pair ratios: a
+/// verified pairs, after one untimed warm-up pair and alternating which
+/// read runs first. The overhead is the median of the per-pair ratios: a
 /// pair shares the host's momentary speed, which on a shared host swings
 /// single reads by more than the 5% being gated, so best-of-N floors
 /// taken from different moments are not comparable. The CRC32C
@@ -199,12 +200,24 @@ ChecksumOverheadSample RunChecksumOverhead(const engine::Table& table,
     }
     return seconds;
   };
+  // One untimed warm-up pair: the first reads after the write pay for
+  // cold caches and a fresh heap, which no later pair does.
+  read_once(false);
+  read_once(true);
   std::vector<double> ratios;
   sample.unverified_seconds = std::numeric_limits<double>::infinity();
   sample.verified_seconds = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < reps; ++rep) {
-    const double unverified = read_once(false);
-    const double verified = read_once(true);
+    // Alternate which read goes first, as RunPairs does.
+    double unverified = 0.0;
+    double verified = 0.0;
+    if (rep % 2 == 0) {
+      unverified = read_once(false);
+      verified = read_once(true);
+    } else {
+      verified = read_once(true);
+      unverified = read_once(false);
+    }
     sample.unverified_seconds = std::min(sample.unverified_seconds, unverified);
     sample.verified_seconds = std::min(sample.verified_seconds, verified);
     if (unverified > 0.0) ratios.push_back(verified / unverified);

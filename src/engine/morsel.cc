@@ -1,7 +1,5 @@
 #include "engine/morsel.h"
 
-#include <algorithm>
-#include <numeric>
 #include <utility>
 
 namespace sc::engine {
@@ -54,44 +52,6 @@ std::vector<std::size_t> MorselBounds(std::size_t rows,
     bounds[m + 1] = bounds[m] + base + (m < extra ? 1 : 0);
   }
   return bounds;
-}
-
-std::vector<std::vector<std::uint32_t>> BalanceTaskBins(
-    const std::vector<std::size_t>& masses, std::size_t bins) {
-  if (bins < 1) bins = 1;
-  if (bins > masses.size()) bins = masses.size();
-  if (bins == 0) return {};
-
-  // Deterministic LPT: heaviest item first into the lightest bin.
-  // stable_sort on descending mass keeps equal-mass items in index
-  // order, and the lightest-bin scan breaks ties toward the lowest bin
-  // index — same inputs, same binning, every run.
-  std::vector<std::uint32_t> order(masses.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return masses[a] > masses[b];
-                   });
-
-  std::vector<std::vector<std::uint32_t>> out(bins);
-  std::vector<std::size_t> load(bins, 0);
-  for (const std::uint32_t item : order) {
-    std::size_t lightest = 0;
-    for (std::size_t b = 1; b < bins; ++b) {
-      if (load[b] < load[lightest]) lightest = b;
-    }
-    out[lightest].push_back(item);
-    load[lightest] += masses[item];
-  }
-  // Ascending item order within a bin (cache-friendly partition walks);
-  // drop bins left empty by zero-mass inputs.
-  for (auto& bin : out) std::sort(bin.begin(), bin.end());
-  out.erase(std::remove_if(out.begin(), out.end(),
-                           [](const std::vector<std::uint32_t>& b) {
-                             return b.empty();
-                           }),
-            out.end());
-  return out;
 }
 
 }  // namespace sc::engine

@@ -17,7 +17,7 @@ class MorselRunner {
   virtual ~MorselRunner() = default;
 
   /// Maximum tasks that may execute concurrently, including the calling
-  /// thread. Operators use this to bound partition counts.
+  /// thread.
   virtual int parallelism() const = 0;
 
   /// Runs `fn(0) .. fn(count - 1)`, possibly concurrently, and blocks
@@ -33,8 +33,11 @@ class MorselRunner {
 /// Per-node morsel execution context. The runtime installs one around a
 /// node's ExecuteNode (MorselScope) after deciding — from the PR-5 cost
 /// model — how far the node's interior may fan out; operators consult
-/// CurrentMorselContext() and split their hash build/probe and aggregate
-/// passes into morsels when the input is large enough to pay for it. A
+/// CurrentMorselContext() and split the passes that split cleanly when
+/// the input is large enough to pay for it: key hashing over row ranges,
+/// the join's per-column output gather and the aggregate's
+/// per-aggregate pass 2. The join's build/probe and the aggregate's
+/// grouping run on one sequential hash table at every morsel count. A
 /// null context (or max_morsels <= 1) keeps every operator on the exact
 /// pre-morsel single-threaded code path.
 class MorselContext {
@@ -93,20 +96,10 @@ class MorselScope {
 
 /// Splits `rows` into `morsels` contiguous ranges: morsel m covers
 /// [bounds[m], bounds[m+1]). Ranges differ in size by at most one row and
-/// concatenate in morsel order to [0, rows) — the order contract behind
-/// bit-identical morsel merges.
+/// concatenate in morsel order to [0, rows), so concurrent morsels
+/// write disjoint ranges of one shared buffer.
 std::vector<std::size_t> MorselBounds(std::size_t rows,
                                       std::size_t morsels);
-
-/// Skew-aware task binning: assigns items (hash-join build partitions,
-/// identified by index into `masses`) to at most `bins` task bins so the
-/// per-bin mass is balanced even when one item dominates. Deterministic
-/// longest-processing-time-first: items in (mass desc, index asc) order,
-/// each into the currently lightest bin (ties to the lowest bin index);
-/// item indices within a bin are returned ascending. Empty bins are
-/// dropped, so every returned bin holds at least one item.
-std::vector<std::vector<std::uint32_t>> BalanceTaskBins(
-    const std::vector<std::size_t>& masses, std::size_t bins);
 
 }  // namespace sc::engine
 

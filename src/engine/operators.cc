@@ -214,254 +214,6 @@ std::vector<std::uint32_t> SelectionFromMask(const Column& mask) {
   return sel;
 }
 
-/// Morsel-parallel interior of HashJoinTables. Build rows are scattered
-/// into partitions by the high bits of their FNV hash (FNV's multiply
-/// mixes high bits hardest; the low bits still index slots within a
-/// partition), each partition's chained table is built by one task, and
-/// probe morsels scan disjoint probe ranges. A probe key's entire chain
-/// lives in exactly one partition, the partition scatter preserves
-/// ascending build-row order, and per-morsel match chunks concatenate in
-/// morsel order — so the emitted (left, right) pairs are exactly the
-/// sequential probe's output.
-void PartitionedJoinMatches(MorselContext& ctx, std::size_t morsels,
-                            const std::vector<const Column*>& lcols,
-                            std::size_t ln, const std::uint64_t* lh,
-                            const std::vector<const Column*>& rcols,
-                            std::size_t rn, const std::uint64_t* rh,
-                            std::vector<std::uint32_t>* match_left,
-                            std::vector<std::uint32_t>* match_right) {
-  MorselRunner& runner = *ctx.runner();
-  // Over-partition 4x past the morsel count, then bin partitions onto
-  // build tasks by measured row mass (LPT below). With one partition
-  // per task, a heavy-hitter key made its partition dominant and the
-  // build ran at the speed of the slowest task; with 4x partitions the
-  // balancer can pack the heavy partition alone and spread the rest.
-  const std::size_t partitions =
-      NextPow2(std::max<std::size_t>(morsels * 4, 2));
-  int bits = 0;
-  while ((static_cast<std::size_t>(1) << bits) < partitions) ++bits;
-  const int shift = 64 - bits;
-
-  // Scatter build rows into partitions: count per (morsel, partition),
-  // prefix into write cursors, then place. Cursors advance in morsel
-  // order, so each partition lists its rows ascending.
-  const std::vector<std::size_t> rb = MorselBounds(rn, morsels);
-  std::vector<std::vector<std::uint32_t>> part_count(
-      morsels, std::vector<std::uint32_t>(partitions, 0));
-  runner.Run(morsels, [&](std::size_t m) {
-    std::vector<std::uint32_t>& count = part_count[m];
-    for (std::size_t r = rb[m]; r < rb[m + 1]; ++r) {
-      count[rh[r] >> shift]++;
-    }
-  });
-  std::vector<std::size_t> part_begin(partitions + 1, 0);
-  for (std::size_t p = 0; p < partitions; ++p) {
-    std::size_t total = 0;
-    for (std::size_t m = 0; m < morsels; ++m) total += part_count[m][p];
-    part_begin[p + 1] = part_begin[p] + total;
-  }
-  std::vector<std::vector<std::size_t>> cursor(
-      morsels, std::vector<std::size_t>(partitions));
-  {
-    std::vector<std::size_t> running(part_begin.begin(),
-                                     part_begin.end() - 1);
-    for (std::size_t m = 0; m < morsels; ++m) {
-      for (std::size_t p = 0; p < partitions; ++p) {
-        cursor[m][p] = running[p];
-        running[p] += part_count[m][p];
-      }
-    }
-  }
-  std::vector<std::uint32_t> part_rows(rn);
-  runner.Run(morsels, [&](std::size_t m) {
-    std::vector<std::size_t>& cur = cursor[m];
-    for (std::size_t r = rb[m]; r < rb[m + 1]; ++r) {
-      part_rows[cur[rh[r] >> shift]++] = static_cast<std::uint32_t>(r);
-    }
-  });
-
-  // Per-partition chained tables. `next` is indexed by global build row,
-  // so probes walk it directly; only `head` and the slot mask are
-  // per-partition. Reverse insertion keeps chains ascending, as in the
-  // sequential build.
-  struct PartTable {
-    std::vector<std::uint32_t> head;
-    std::size_t slot_mask = 0;
-  };
-  std::vector<PartTable> tables(partitions);
-  std::vector<std::uint32_t> next(rn);
-  // Skew-aware build scheduling: partitions carry their exact row mass
-  // (part_begin deltas), so bin them onto `morsels` build tasks with
-  // longest-processing-time-first instead of one task per partition.
-  // Partition builds are independent, so the binning cannot change the
-  // emitted matches — only which lane builds which table.
-  std::vector<std::size_t> part_mass(partitions);
-  for (std::size_t p = 0; p < partitions; ++p) {
-    part_mass[p] = part_begin[p + 1] - part_begin[p];
-  }
-  const std::vector<std::vector<std::uint32_t>> bins =
-      BalanceTaskBins(part_mass, morsels);
-  runner.Run(bins.size(), [&](std::size_t b) {
-    for (const std::uint32_t p : bins[b]) {
-      const std::size_t lo = part_begin[p];
-      const std::size_t hi = part_begin[p + 1];
-      PartTable& t = tables[p];
-      const std::size_t cap =
-          NextPow2(std::max<std::size_t>((hi - lo) * 2, 1));
-      t.slot_mask = cap - 1;
-      t.head.assign(cap, kNoRow);
-      for (std::size_t i = hi; i > lo;) {
-        --i;
-        const std::uint32_t r = part_rows[i];
-        const std::size_t slot = rh[r] & t.slot_mask;
-        next[r] = t.head[slot];
-        t.head[slot] = r;
-      }
-    }
-  });
-
-  // Probe morsels into per-morsel chunks, concatenated in morsel order.
-  const std::vector<std::size_t> lb = MorselBounds(ln, morsels);
-  std::vector<std::vector<std::uint32_t>> chunk_left(morsels);
-  std::vector<std::vector<std::uint32_t>> chunk_right(morsels);
-  runner.Run(morsels, [&](std::size_t m) {
-    std::vector<std::uint32_t>& ml = chunk_left[m];
-    std::vector<std::uint32_t>& mr = chunk_right[m];
-    ml.reserve(lb[m + 1] - lb[m]);
-    mr.reserve(lb[m + 1] - lb[m]);
-    for (std::size_t l = lb[m]; l < lb[m + 1]; ++l) {
-      const PartTable& t = tables[lh[l] >> shift];
-      for (std::uint32_t r = t.head[lh[l] & t.slot_mask]; r != kNoRow;
-           r = next[r]) {
-        if (rh[r] == lh[l] && KeyRowsEqual(lcols, l, rcols, r)) {
-          ml.push_back(static_cast<std::uint32_t>(l));
-          mr.push_back(r);
-        }
-      }
-    }
-  });
-  std::vector<std::size_t> out_at(morsels + 1, 0);
-  for (std::size_t m = 0; m < morsels; ++m) {
-    out_at[m + 1] = out_at[m] + chunk_left[m].size();
-  }
-  match_left->resize(out_at[morsels]);
-  match_right->resize(out_at[morsels]);
-  runner.Run(morsels, [&](std::size_t m) {
-    std::copy(chunk_left[m].begin(), chunk_left[m].end(),
-              match_left->begin() + out_at[m]);
-    std::copy(chunk_right[m].begin(), chunk_right[m].end(),
-              match_right->begin() + out_at[m]);
-  });
-}
-
-/// Morsel-parallel pass 1 of AggregateTable. Each morsel builds a
-/// partial group table over its contiguous row range; a sequential merge
-/// in (morsel, local-group) order then assigns global ids. Because
-/// morsels are ascending contiguous ranges, that merge order IS global
-/// first-occurrence order: every key first seen in morsel m precedes
-/// every key first seen in a later morsel, and within a morsel local ids
-/// are already first-occurrence-ordered. Group numbering,
-/// representatives, and counts therefore match the sequential pass
-/// exactly.
-void ParallelGroupRows(MorselContext& ctx, std::size_t morsels,
-                       const std::vector<const Column*>& key_cols,
-                       std::size_t n, bool code_keys,
-                       std::vector<std::uint32_t>* group_of_row,
-                       std::vector<std::uint32_t>* representative,
-                       std::vector<std::int64_t>* counts) {
-  MorselRunner& runner = *ctx.runner();
-  const std::vector<std::size_t> bounds = MorselBounds(n, morsels);
-  HashBuffer h(&ctx, n);
-  runner.Run(morsels, [&](std::size_t m) {
-    HashKeyRowsRange(key_cols, bounds[m], bounds[m + 1], h.data(),
-                     code_keys);
-  });
-
-  // Per-morsel partial group tables over the shared hashes.
-  // group_of_row holds local ids until the final pass translates them.
-  struct LocalGroups {
-    std::vector<std::uint32_t> rep;        // global row of local group
-    std::vector<std::uint32_t> count;      // rows per local group
-    std::vector<std::uint32_t> to_global;  // local id -> global id
-  };
-  std::vector<LocalGroups> locals(morsels);
-  group_of_row->resize(n);
-  std::uint32_t* gid = group_of_row->data();
-  const std::uint64_t* hashes = h.data();
-  runner.Run(morsels, [&](std::size_t m) {
-    LocalGroups& lg = locals[m];
-    const std::size_t lo = bounds[m];
-    const std::size_t hi = bounds[m + 1];
-    const std::size_t cap =
-        NextPow2(std::max<std::size_t>((hi - lo) * 2, 1));
-    const std::size_t slot_mask = cap - 1;
-    std::vector<std::uint32_t> head(cap, kNoRow);
-    std::vector<std::uint32_t> next_group;
-    for (std::size_t r = lo; r < hi; ++r) {
-      const std::size_t slot = hashes[r] & slot_mask;
-      std::uint32_t g = head[slot];
-      while (g != kNoRow &&
-             !(hashes[lg.rep[g]] == hashes[r] &&
-               KeyRowsEqual(key_cols, r, key_cols, lg.rep[g]))) {
-        g = next_group[g];
-      }
-      if (g == kNoRow) {
-        g = static_cast<std::uint32_t>(lg.rep.size());
-        lg.rep.push_back(static_cast<std::uint32_t>(r));
-        lg.count.push_back(0);
-        next_group.push_back(head[slot]);
-        head[slot] = g;
-      }
-      lg.count[g]++;
-      gid[r] = g;
-    }
-  });
-
-  // Deterministic sequential merge: global group table keyed by the
-  // local representatives, visited in (morsel, local id) order.
-  std::size_t total_local = 0;
-  for (const LocalGroups& lg : locals) total_local += lg.rep.size();
-  const std::size_t cap =
-      NextPow2(std::max<std::size_t>(total_local * 2, 1));
-  const std::size_t slot_mask = cap - 1;
-  std::vector<std::uint32_t> head(cap, kNoRow);
-  std::vector<std::uint32_t> next_group;
-  representative->clear();
-  counts->clear();
-  for (std::size_t m = 0; m < morsels; ++m) {
-    LocalGroups& lg = locals[m];
-    lg.to_global.resize(lg.rep.size());
-    for (std::size_t i = 0; i < lg.rep.size(); ++i) {
-      const std::uint32_t row = lg.rep[i];
-      const std::size_t slot = hashes[row] & slot_mask;
-      std::uint32_t g = head[slot];
-      while (g != kNoRow &&
-             !(hashes[(*representative)[g]] == hashes[row] &&
-               KeyRowsEqual(key_cols, row, key_cols,
-                            (*representative)[g]))) {
-        g = next_group[g];
-      }
-      if (g == kNoRow) {
-        g = static_cast<std::uint32_t>(representative->size());
-        representative->push_back(row);
-        counts->push_back(0);
-        next_group.push_back(head[slot]);
-        head[slot] = g;
-      }
-      lg.to_global[i] = g;
-      (*counts)[g] += lg.count[i];
-    }
-  }
-
-  // Translate local ids to global in one parallel pass.
-  runner.Run(morsels, [&](std::size_t m) {
-    const LocalGroups& lg = locals[m];
-    for (std::size_t r = bounds[m]; r < bounds[m + 1]; ++r) {
-      gid[r] = lg.to_global[gid[r]];
-    }
-  });
-}
-
 }  // namespace
 
 Table FilterTable(const Table& input, const Expr& predicate) {
@@ -544,38 +296,35 @@ Table HashJoinTables(const Table& left, const Table& right,
     HashKeyRowsRange(lcols, 0, ln, lh.data(), code_keys);
   }
 
+  // Build side: a chained bucket table over the right-row hashes — two
+  // flat arrays, zero per-row allocation. Rows are inserted in reverse
+  // so each chain lists its rows in ascending right order, preserving
+  // the scalar reference's match order per key. Build and probe use this
+  // one table at every morsel count; only hashing and the output gather
+  // fan out.
+  const std::size_t cap = NextPow2(std::max<std::size_t>(rn * 2, 1));
+  const std::size_t slot_mask = cap - 1;
+  std::vector<std::uint32_t> head(cap, kNoRow);
+  std::vector<std::uint32_t> next(rn);
+  for (std::size_t r = rn; r > 0;) {
+    --r;
+    const std::size_t slot = rh[r] & slot_mask;
+    next[r] = head[slot];
+    head[slot] = static_cast<std::uint32_t>(r);
+  }
+
+  // Probe side: collect matching (left, right) row pairs, then gather
+  // both sides column-at-a-time instead of appending cell-by-cell.
   std::vector<std::uint32_t> match_left;
   std::vector<std::uint32_t> match_right;
-  if (morsels > 1) {
-    PartitionedJoinMatches(*ctx, morsels, lcols, ln, lh.data(), rcols, rn,
-                           rh.data(), &match_left, &match_right);
-  } else {
-    // Build side: a chained bucket table over the right-row hashes — two
-    // flat arrays, zero per-row allocation. Rows are inserted in reverse
-    // so each chain lists its rows in ascending right order, preserving
-    // the scalar reference's match order per key.
-    const std::size_t cap = NextPow2(std::max<std::size_t>(rn * 2, 1));
-    const std::size_t slot_mask = cap - 1;
-    std::vector<std::uint32_t> head(cap, kNoRow);
-    std::vector<std::uint32_t> next(rn);
-    for (std::size_t r = rn; r > 0;) {
-      --r;
-      const std::size_t slot = rh[r] & slot_mask;
-      next[r] = head[slot];
-      head[slot] = static_cast<std::uint32_t>(r);
-    }
-
-    // Probe side: collect matching (left, right) row pairs, then gather
-    // both sides column-at-a-time instead of appending cell-by-cell.
-    match_left.reserve(ln);
-    match_right.reserve(ln);
-    for (std::size_t l = 0; l < ln; ++l) {
-      for (std::uint32_t r = head[lh[l] & slot_mask]; r != kNoRow;
-           r = next[r]) {
-        if (rh[r] == lh[l] && KeyRowsEqual(lcols, l, rcols, r)) {
-          match_left.push_back(static_cast<std::uint32_t>(l));
-          match_right.push_back(r);
-        }
+  match_left.reserve(ln);
+  match_right.reserve(ln);
+  for (std::size_t l = 0; l < ln; ++l) {
+    for (std::uint32_t r = head[lh[l] & slot_mask]; r != kNoRow;
+         r = next[r]) {
+      if (rh[r] == lh[l] && KeyRowsEqual(lcols, l, rcols, r)) {
+        match_left.push_back(static_cast<std::uint32_t>(l));
+        match_right.push_back(r);
       }
     }
   }
@@ -660,12 +409,19 @@ Table AggregateTable(const Table& input,
     representative.push_back(0);
     std::fill(group_of_row.begin(), group_of_row.end(), 0u);
     counts.assign(1, static_cast<std::int64_t>(n));
-  } else if (morsels > 1) {
-    ParallelGroupRows(*ctx, morsels, key_cols, n, code_keys, &group_of_row,
-                      &representative, &counts);
   } else {
+    // Key hashing fans out over morsel row ranges; grouping itself is one
+    // sequential table at every morsel count.
     HashBuffer hb(ctx, n);
-    HashKeyRowsRange(key_cols, 0, n, hb.data(), code_keys);
+    if (morsels > 1) {
+      const std::vector<std::size_t> bounds = MorselBounds(n, morsels);
+      ctx->runner()->Run(morsels, [&](std::size_t m) {
+        HashKeyRowsRange(key_cols, bounds[m], bounds[m + 1], hb.data(),
+                         code_keys);
+      });
+    } else {
+      HashKeyRowsRange(key_cols, 0, n, hb.data(), code_keys);
+    }
     const std::uint64_t* h = hb.data();
     const std::size_t cap = NextPow2(std::max<std::size_t>(n * 2, 1));
     const std::size_t slot_mask = cap - 1;

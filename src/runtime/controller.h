@@ -145,11 +145,12 @@ struct ControllerOptions {
   LanePool* lane_pool = nullptr;
   /// Morsel-driven intra-operator parallelism (Leis et al., SIGMOD
   /// 2014): a node whose estimated wall cost (opt::EstimateNodeSeconds,
-  /// the same model behind inline dispatch) exceeds this target has its
-  /// hash-join and aggregation interiors split into up to
+  /// the same model behind inline dispatch) exceeds this target has the
+  /// parallel passes of its hash joins and aggregates (key hashing, the
+  /// join's output gather, the aggregate's pass 2) split into up to
   /// opt::MorselBudget(est, target, pool capacity) morsels executed by
-  /// idle lanes of the run's LanePool — so one giant node no longer
-  /// pins job latency to a single lane. Results are bit-identical to
+  /// idle lanes of the run's LanePool; build/probe and grouping stay on
+  /// one sequential hash table. Results are bit-identical to
   /// single-morsel execution (engine_morsel_test pins this against
   /// scalar_reference), the node still completes and publishes as one
   /// unit, and unprofiled nodes (est = +inf) get the full budget with

@@ -252,8 +252,7 @@ std::map<std::string, engine::TablePtr> GenerateStringHeavyData(
   for (std::int64_t r = 0; r < events; ++r) {
     const auto row = static_cast<std::size_t>(r);
     // Zipf-skewed category popularity: a few heavy hitters dominate, so
-    // join-build partitions have very unequal row mass (the skew-aware
-    // morsel shape).
+    // a few join keys own long build chains.
     fact_codes[row] =
         static_cast<std::int32_t>(rng.Zipf(cardinality, 1.2) - 1);
     bucket[row] = rng.UniformInt(0, 31);

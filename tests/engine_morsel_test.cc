@@ -9,6 +9,7 @@
 // TSAN target for this layer).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
@@ -74,6 +75,38 @@ Table RandomTable(Rng* rng, std::size_t rows) {
                 Column::FromStrings(std::move(s))});
 }
 
+/// Appends column "ds" to every table: its "s" column dictionary-encoded
+/// over ONE dictionary built from all the tables' strings, so "ds" keys
+/// share a dictionary object across tables and take the int32-code path
+/// (SharedDictStringKeys) — the shape of tables read from disk, whose
+/// dictionaries are interned by content.
+void AddSharedDictStrings(const std::vector<Table*>& tables) {
+  std::vector<std::string> all;
+  for (const Table* t : tables) {
+    for (std::size_t r = 0; r < t->num_rows(); ++r) {
+      all.push_back(t->column("s").GetString(r));
+    }
+  }
+  const Column::DictionaryPtr dict = Column::MakeDictionary(std::move(all));
+  for (Table* t : tables) {
+    std::vector<std::int32_t> codes(t->num_rows());
+    for (std::size_t r = 0; r < codes.size(); ++r) {
+      codes[r] = static_cast<std::int32_t>(
+          std::lower_bound(dict->begin(), dict->end(),
+                           t->column("s").GetString(r)) -
+          dict->begin());
+    }
+    std::vector<Field> fields = t->schema().fields();
+    fields.push_back(Field{"ds", DataType::kString});
+    std::vector<Column> columns;
+    for (std::size_t c = 0; c < t->num_columns(); ++c) {
+      columns.push_back(t->column(c));
+    }
+    columns.push_back(Column::FromDictionary(dict, std::move(codes)));
+    *t = Table(Schema(std::move(fields)), std::move(columns));
+  }
+}
+
 std::vector<AggSpec> AggregateZoo() {
   std::vector<AggSpec> specs;
   specs.push_back(CountAll("n"));
@@ -104,13 +137,15 @@ TEST(MorselJoinTest, BitIdenticalAcrossMorselCounts) {
   Rng rng(101);
   runtime::LanePool pool(4);
   const std::vector<std::vector<std::string>> key_sets = {
-      {"key"}, {"key", "s"}, {"x"}, {"a"}};
+      {"key"}, {"key", "s"}, {"x"}, {"a"}, {"ds"}, {"key", "ds"}};
   for (const std::size_t rows :
        {std::size_t{2}, std::size_t{17}, std::size_t{400},
         std::size_t{1500}}) {
-    const Table left = RandomTable(&rng, rows);
-    const Table right = RandomTable(&rng, rows / 2 + 1);
+    Table left = RandomTable(&rng, rows);
+    Table right = RandomTable(&rng, rows / 2 + 1);
+    AddSharedDictStrings({&left, &right});
     for (const auto& keys : key_sets) {
+      const std::int64_t fallbacks = CrossDictionaryFallbacks();
       const Table ref =
           scalar::HashJoinTablesScalar(left, right, keys, keys);
       const Table seq = HashJoinTables(left, right, keys, keys);
@@ -123,6 +158,10 @@ TEST(MorselJoinTest, BitIdenticalAcrossMorselCounts) {
             << "join keys[0]=" << keys[0] << " rows=" << rows
             << " morsels=" << morsels;
       }
+      if (keys.back() == "ds") {
+        // Both sides share one dictionary: codes, never decoded strings.
+        EXPECT_EQ(CrossDictionaryFallbacks(), fallbacks);
+      }
     }
   }
 }
@@ -131,13 +170,15 @@ TEST(MorselAggregateTest, BitIdenticalAcrossMorselCounts) {
   Rng rng(202);
   runtime::LanePool pool(4);
   const std::vector<std::vector<std::string>> key_sets = {
-      {"key"}, {"s"}, {"key", "s"}, {"x"}};
+      {"key"}, {"s"}, {"key", "s"}, {"x"}, {"ds"}, {"key", "ds"}};
   const std::vector<AggSpec> specs = AggregateZoo();
   for (const std::size_t rows :
        {std::size_t{2}, std::size_t{17}, std::size_t{400},
         std::size_t{1500}}) {
-    const Table t = RandomTable(&rng, rows);
+    Table t = RandomTable(&rng, rows);
+    AddSharedDictStrings({&t});
     for (const auto& keys : key_sets) {
+      const std::int64_t fallbacks = CrossDictionaryFallbacks();
       const Table ref = scalar::AggregateTableScalar(t, keys, specs);
       const Table seq = AggregateTable(t, keys, specs);
       EXPECT_TRUE(seq == ref);
@@ -148,6 +189,9 @@ TEST(MorselAggregateTest, BitIdenticalAcrossMorselCounts) {
         EXPECT_TRUE(par == seq)
             << "agg keys[0]=" << keys[0] << " rows=" << rows
             << " morsels=" << morsels;
+      }
+      if (keys.back() == "ds") {
+        EXPECT_EQ(CrossDictionaryFallbacks(), fallbacks);
       }
     }
   }
@@ -196,11 +240,10 @@ TEST(MorselPlanTest, BoundsAndBudget) {
   EXPECT_EQ(off.PlanMorsels(100000), 1u);  // no runner -> sequential
 }
 
-/// Skew-aware morsel build: one heavy-hitter key owns ~90% of the build
-/// rows, so per-partition row mass is wildly unequal and the LPT binning
-/// (BalanceTaskBins) decides the build schedule. The output must stay
-/// bit-identical to the sequential path and the scalar reference at
-/// every morsel count regardless of how partitions were binned.
+/// Heavy-hitter build side: one key owns ~90% of the build rows, so one
+/// hash chain holds most of the table and every probe of that key walks
+/// it. The output must stay bit-identical to the sequential path and the
+/// scalar reference at every morsel count.
 TEST(MorselJoinTest, HeavyHitterSkewStaysBitIdentical) {
   Rng rng(606);
   runtime::LanePool pool(4);
@@ -229,41 +272,6 @@ TEST(MorselJoinTest, HeavyHitterSkewStaysBitIdentical) {
       return HashJoinTables(probe, skewed, {"key"}, {"key"});
     });
     EXPECT_TRUE(par == seq) << "morsels=" << morsels;
-  }
-}
-
-TEST(MorselPlanTest, BalanceTaskBinsCoversAllItemsAndBalances) {
-  // Every partition index appears in exactly one bin (zero-mass
-  // partitions included — the probe side indexes every partition's
-  // table), bins are capped, and LPT keeps the heaviest bin at most one
-  // item above optimal for this shape.
-  const std::vector<std::size_t> masses = {900, 1, 0, 50, 50, 3, 0, 400};
-  const auto bins = BalanceTaskBins(masses, 3);
-  ASSERT_LE(bins.size(), 3u);
-  std::vector<int> seen(masses.size(), 0);
-  for (const auto& bin : bins) {
-    for (const std::uint32_t p : bin) {
-      ASSERT_LT(p, masses.size());
-      ++seen[p];
-    }
-  }
-  for (std::size_t p = 0; p < masses.size(); ++p) {
-    EXPECT_EQ(seen[p], 1) << "partition " << p;
-  }
-  // The 900-mass partition must sit alone in its bin under LPT with
-  // these masses: everything else sums to 504.
-  for (const auto& bin : bins) {
-    std::size_t mass = 0;
-    for (const std::uint32_t p : bin) mass += masses[p];
-    EXPECT_LE(mass, 900u);
-  }
-  // Determinism: same input, same binning.
-  EXPECT_EQ(bins, BalanceTaskBins(masses, 3));
-  // Degenerate shapes: zero bins clamps to one; more bins than items
-  // never produces empty bins.
-  EXPECT_EQ(BalanceTaskBins(masses, 0).size(), 1u);
-  for (const auto& bin : BalanceTaskBins({5, 5}, 8)) {
-    EXPECT_FALSE(bin.empty());
   }
 }
 
