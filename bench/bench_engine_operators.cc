@@ -418,8 +418,13 @@ int Main(int argc, char** argv) {
                     << " at " << rows << " rows\n";
           return 1;
         }
+        // One untimed run right before each side's timed reps: with only
+        // two reps under --smoke, a slow first rep after the other side's
+        // run could otherwise decide the speedup floor.
+        sink += v.plain().num_rows();
         const double plain_s =
             BestOfSeconds(reps, [&] { sink += v.plain().num_rows(); });
+        sink += v.dict().num_rows();
         const double dict_s =
             BestOfSeconds(reps, [&] { sink += v.dict().num_rows(); });
         DictSample d;

@@ -286,7 +286,6 @@ int Main(int argc, char** argv) {
   std::filesystem::remove_all(dir);
   storage::DiskProfile profile;
   profile.throttle = false;  // compute-bound, not emulation-bound
-  profile.channels = 8;      // warehouse storage serves workers in parallel
   storage::ThrottledDisk disk(dir, profile);
 
   workload::DataGenOptions data_options;

@@ -279,9 +279,9 @@ void Column::GatherFrom(const Column& other,
   switch (type_) {
     case DataType::kInt64: {
       const std::size_t base = ints_.size();
-      // Exact reserve before resize: morsel merges gather many chunks
-      // into one output, and libstdc++'s geometric resize would
-      // over-allocate up to 2x on each of them.
+      // Exact reserve before resize: gathering onto a non-empty column
+      // would otherwise take libstdc++'s geometric growth and
+      // over-allocate up to 2x.
       if (base + rows.size() > ints_.capacity()) {
         ints_.reserve(base + rows.size());
       }

@@ -16,10 +16,6 @@ class MorselRunner {
  public:
   virtual ~MorselRunner() = default;
 
-  /// Maximum tasks that may execute concurrently, including the calling
-  /// thread.
-  virtual int parallelism() const = 0;
-
   /// Runs `fn(0) .. fn(count - 1)`, possibly concurrently, and blocks
   /// until every call returned. The calling thread always participates,
   /// so progress never depends on helper threads being available. Any

@@ -77,10 +77,6 @@ void Table::AppendRangeFrom(const Table& other, std::size_t begin,
   num_rows_ += end - begin;
 }
 
-void Table::Reserve(std::size_t rows) {
-  for (Column& c : columns_) c.Reserve(rows);
-}
-
 void Table::SyncRowCount() {
   num_rows_ = columns_.empty() ? 0 : columns_[0].size();
   for (const Column& c : columns_) {

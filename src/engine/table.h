@@ -74,11 +74,6 @@ class Table {
   void AppendRangeFrom(const Table& other, std::size_t begin,
                        std::size_t end);
 
-  /// Reserves capacity for `rows` rows in every column. Callers that
-  /// append many chunks (morsel merges) reserve the final total once so
-  /// the exact-capacity appends below never reallocate.
-  void Reserve(std::size_t rows);
-
   /// Recomputes num_rows after direct column mutation; throws
   /// std::logic_error if columns disagree on length.
   void SyncRowCount();

@@ -25,8 +25,6 @@ LaneMorselRunner::LaneMorselRunner(LanePool* pool,
       task_counter_(task_counter),
       cancel_(cancel) {}
 
-int LaneMorselRunner::parallelism() const { return pool_->capacity(); }
-
 namespace {
 
 /// State shared between the caller and its helper tasks. Heap-allocated

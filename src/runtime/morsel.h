@@ -45,8 +45,6 @@ class LaneMorselRunner : public engine::MorselRunner {
                    std::atomic<std::int64_t>* task_counter,
                    const CancelToken* cancel = nullptr);
 
-  int parallelism() const override;
-
   void Run(std::size_t count,
            const std::function<void(std::size_t)>& fn) override;
 

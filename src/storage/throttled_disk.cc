@@ -50,20 +50,36 @@ std::shared_ptr<std::shared_mutex> ThrottledDisk::FileLock(
   return slot;
 }
 
-void ThrottledDisk::AcquireChannel() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  channel_cv_.wait(lock,
-                   [this] { return active_channels_ < profile_.channels; });
-  ++active_channels_;
-}
-
-void ThrottledDisk::ReleaseChannel() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    --active_channels_;
+/// Holds one channel of a throttled disk for its lifetime; on an
+/// unthrottled disk it holds nothing, so operations never queue behind
+/// each other's codec work.
+class ThrottledDisk::ChannelSlot {
+ public:
+  explicit ChannelSlot(ThrottledDisk& disk)
+      : disk_(disk.profile_.throttle ? &disk : nullptr) {
+    if (disk_ == nullptr) return;
+    std::unique_lock<std::mutex> lock(disk_->mutex_);
+    disk_->channel_cv_.wait(lock, [this] {
+      return disk_->active_channels_ < disk_->profile_.channels;
+    });
+    ++disk_->active_channels_;
   }
-  channel_cv_.notify_one();
-}
+
+  ~ChannelSlot() {
+    if (disk_ == nullptr) return;
+    {
+      std::lock_guard<std::mutex> lock(disk_->mutex_);
+      --disk_->active_channels_;
+    }
+    disk_->channel_cv_.notify_one();
+  }
+
+  ChannelSlot(const ChannelSlot&) = delete;
+  ChannelSlot& operator=(const ChannelSlot&) = delete;
+
+ private:
+  ThrottledDisk* disk_;
+};
 
 void ThrottledDisk::InjectWriteFailure(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -79,7 +95,7 @@ std::int64_t ThrottledDisk::WriteTable(const std::string& name,
                                        const engine::Table& table) {
   // Lock order: per-file lock, then a channel slot. Writers exclude
   // everything on the same name; operations on distinct files overlap up
-  // to the channel count.
+  // to the channel count when throttled, and without bound otherwise.
   const std::shared_ptr<std::shared_mutex> file_lock = FileLock(name);
   std::unique_lock<std::shared_mutex> file_guard(*file_lock);
   fault::FaultInjector* injector = nullptr;
@@ -97,10 +113,11 @@ std::int64_t ThrottledDisk::WriteTable(const std::string& name,
   if (injector != nullptr) {
     injector->MaybeThrow(fault::Site::kDiskWrite, name);
   }
-  AcquireChannel();
-  const double start = Now();
   std::int64_t bytes = 0;
-  try {
+  double elapsed = 0.0;
+  {
+    const ChannelSlot slot(*this);
+    const double start = Now();
     bytes = WriteTableFileCompressed(table, PathFor(name));
     // Post-write corruption probe: the write "succeeded" but the device
     // lied. Damage the landed file; a verified read must catch it.
@@ -112,12 +129,8 @@ std::int64_t ThrottledDisk::WriteTable(const std::string& name,
       }
     }
     PadToTarget(start, bytes, profile_.write_bw);
-  } catch (...) {
-    ReleaseChannel();
-    throw;
+    elapsed = Now() - start;
   }
-  ReleaseChannel();
-  const double elapsed = Now() - start;
   std::lock_guard<std::mutex> lock(mutex_);
   total_write_seconds_ += elapsed;
   return bytes;
@@ -134,10 +147,11 @@ engine::Table ThrottledDisk::ReadTable(const std::string& name) {
   if (injector != nullptr) {
     injector->MaybeThrow(fault::Site::kDiskRead, name);
   }
-  AcquireChannel();
-  const double start = Now();
   std::optional<engine::Table> table;
-  try {
+  double elapsed = 0.0;
+  {
+    const ChannelSlot slot(*this);
+    const double start = Now();
     const std::string path = PathFor(name);
     table.emplace(
         ReadTableFileCompressed(path, ReadOptions{profile_.verify_reads}));
@@ -145,12 +159,8 @@ engine::Table ThrottledDisk::ReadTable(const std::string& name) {
     // lock keeps the file unchanged since the read.
     PadToTarget(start, static_cast<std::int64_t>(fs::file_size(path)),
                 profile_.read_bw);
-  } catch (...) {
-    ReleaseChannel();
-    throw;
+    elapsed = Now() - start;
   }
-  ReleaseChannel();
-  const double elapsed = Now() - start;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     total_read_seconds_ += elapsed;

@@ -20,13 +20,14 @@ struct DiskProfile {
   double read_bw = 519.8e6;   // bytes/second
   double write_bw = 358.9e6;  // bytes/second
   double latency = 175e-6;    // seconds per access
-  /// When false, operations run at native speed (unit tests).
+  /// When false, operations run at native speed and take no channel:
+  /// there is no emulated device to share (unit tests, compute-bound
+  /// benches).
   bool throttle = true;
-  /// Number of independent storage channels: at most this many
-  /// operations make progress concurrently, each at full bandwidth. 1
-  /// (the default) reproduces the paper's single-channel NFS model;
-  /// serving deployments (RefreshService) raise it to match their
-  /// worker count.
+  /// Number of independent emulated storage channels: at most this many
+  /// throttled operations make progress concurrently, each at full
+  /// bandwidth. 1 (the default) reproduces the paper's single-channel
+  /// NFS model. Ignored when `throttle` is false.
   int channels = 1;
   /// Verify SCC1 checksums on every read (the serving default): a
   /// damaged warehouse file surfaces as storage::CorruptFileError
@@ -45,10 +46,13 @@ struct DiskProfile {
 /// laptop scale.
 ///
 /// Thread-safe: a per-table reader-writer lock lets concurrent reads of
-/// the same file overlap while a writer never races a reader, and at
-/// most `profile.channels` operations run concurrently overall. With the
-/// default single channel, background materialization genuinely competes
-/// with foreground I/O, as in §III-C.
+/// the same file overlap while a writer never races a reader. On a
+/// throttled disk at most `profile.channels` operations are in flight at
+/// once, each holding its channel through the SCC1 codec and the pad;
+/// with the default single channel, background materialization genuinely
+/// competes with foreground I/O, as in §III-C. An unthrottled disk
+/// emulates no device, so it takes no channel and its operations (codec
+/// and checksum work included) overlap freely.
 class ThrottledDisk {
  public:
   ThrottledDisk(std::string root_dir, DiskProfile profile);
@@ -100,8 +104,7 @@ class ThrottledDisk {
                    double bandwidth);
   static double Now();
   std::shared_ptr<std::shared_mutex> FileLock(const std::string& name);
-  void AcquireChannel();
-  void ReleaseChannel();
+  class ChannelSlot;
 
   std::string root_dir_;
   DiskProfile profile_;
