@@ -1,6 +1,6 @@
 // Inspects a Chrome/Perfetto trace produced by the observability layer
-// (ServiceOptions::trace_path, bench_service_throughput --trace, or
-// obs::WriteChromeTraceFile): prints per-lane utilization, the per-job
+// (obs::WriteChromeTraceFile over a ServiceOptions::trace recorder, or
+// bench_service_throughput --trace): prints per-lane utilization, the per-job
 // queued / waiting-budget / executing / publishing breakdown, and the
 // longest node executions (critical-path suspects).
 //

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 namespace sc::opt {
@@ -108,18 +107,6 @@ int MorselBudget(double est_seconds, double target_seconds,
   const double ratio = est_seconds / target_seconds;
   if (!(ratio < static_cast<double>(max_morsels))) return max_morsels;
   return static_cast<int>(std::ceil(ratio));
-}
-
-std::string DescribeStages(const graph::Graph& g,
-                           const StageDecomposition& stages) {
-  std::ostringstream out;
-  for (std::int32_t k = 0; k < stages.num_stages(); ++k) {
-    const auto& stage = stages.stages[static_cast<std::size_t>(k)];
-    out << "stage " << k << " [width " << stage.size() << "]:";
-    for (const graph::NodeId v : stage) out << " " << g.node(v).name;
-    out << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace sc::opt

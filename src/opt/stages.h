@@ -1,8 +1,6 @@
 #ifndef SC_OPT_STAGES_H_
 #define SC_OPT_STAGES_H_
 
-#include <string>
-
 #include "cost/cost_model.h"
 #include "opt/types.h"
 
@@ -22,10 +20,6 @@ StageDecomposition DecomposeStages(const graph::Graph& g,
 /// the per-stage node lists (cheap upper bound on useful intra-job
 /// parallelism, used for lane leasing).
 std::size_t StageWidth(const graph::Graph& g, const graph::Order& order);
-
-/// One line per stage ("stage 3 [width 4]: a b c d") for debugging.
-std::string DescribeStages(const graph::Graph& g,
-                           const StageDecomposition& stages);
 
 /// Per-node wall-cost estimates feeding the runtime's inline-dispatch
 /// decision: seconds[v] = compute_seconds + (when `charge_io`) the

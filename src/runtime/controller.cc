@@ -62,10 +62,12 @@ void BackoffSleep(int attempt, double base_ms, const CancelToken* cancel) {
 }  // namespace
 
 Materializer::Materializer(storage::ThrottledDisk* disk, LanePool& pool,
-                           obs::TraceRecorder* trace)
+                           obs::TraceRecorder* trace,
+                           std::uint64_t trace_job_id)
     : disk_(disk),
       pool_(pool),
       trace_(trace),
+      trace_job_id_(trace_job_id),
       track_(NextMaterializerTrack()) {}
 
 Materializer::~Materializer() {
@@ -124,7 +126,8 @@ void Materializer::WriteOne(Task task) {
         trace_->CompleteOnTrack(
             track_, "materialize", task.name, write_start,
             MonotonicSeconds() - write_start,
-            StrFormat("\"bytes\":%lld",
+            StrFormat("\"job\":%llu,\"bytes\":%lld",
+                      static_cast<unsigned long long>(trace_job_id_),
                       static_cast<long long>(task.table->ByteSize())));
       }
       task.done.set_value();
@@ -136,9 +139,11 @@ void Materializer::WriteOne(Task task) {
           retry_counter_->fetch_add(1, std::memory_order_relaxed);
         }
         if (trace_ != nullptr && trace_->enabled()) {
-          trace_->Instant("retry", task.name,
-                          StrFormat("\"attempt\":%d,\"site\":\"write\"",
-                                    attempt + 1));
+          trace_->Instant(
+              "retry", task.name,
+              StrFormat("\"job\":%llu,\"attempt\":%d,\"site\":\"write\"",
+                        static_cast<unsigned long long>(trace_job_id_),
+                        attempt + 1));
         }
         BackoffSleep(attempt, retry_backoff_ms_, cancel_);
         continue;
@@ -207,6 +212,16 @@ double RunReport::CatalogHitRate() const {
 
 namespace {
 
+/// Inline dispatch threshold: ~10x the measured lane handoff plus wakeup,
+/// so sub-millisecond operator nodes skip the handoff while I/O-bound
+/// nodes on throttled storage (several ms) keep their lanes.
+constexpr double kInlineNodeCostSeconds = 0.001;
+/// Morsel target: a node estimated above this splits into about
+/// est / target morsels, each long enough to amortize its dispatch.
+constexpr double kMorselTargetSeconds = 0.005;
+/// Morsel row floor: a smaller range pays more in dispatch than it saves.
+constexpr std::size_t kMorselMinRows = 8192;
+
 /// The cost model's device for a run's disk. ThrottledDisk emulates
 /// bandwidth + latency only, so the paper-testbed per-table open and
 /// commit overheads (seconds each) are zeroed: left in, they would swamp
@@ -247,7 +262,8 @@ struct RunState {
         disk(disk_in),
         pool(pool_in),
         catalog(budget, options_in.shared_catalog),
-        materializer(disk_in, pool_in, options_in.trace),
+        materializer(disk_in, pool_in, options_in.trace,
+                     options_in.trace_job_id),
         node_est_seconds(EstimateNodeCosts(wl_in.graph, plan_in.flags,
                                            disk_in)) {
     const graph::Graph& g = wl.graph;
@@ -318,23 +334,20 @@ struct NodeResult {
   bool reused_durable = false;
 };
 
-/// Residency representation (ControllerOptions::compress_residency) of
-/// a node output before it enters residency accounting. Compressed:
-/// plain string columns are dictionary-encoded, keeping an encoding only
-/// when it is actually smaller (an all-unique column stays plain).
-/// Plain: dictionary columns — e.g. strings read back from disk — are
-/// decoded. Downstream consumers see the same logical values — operators
-/// and Table::operator== are representation-agnostic — while ByteSize,
-/// hence budgets, grants, and profiled output sizes, follow the choice.
-engine::TablePtr ResidencyRepresentation(engine::TablePtr table,
-                                         bool compress) {
-  auto convertible = [compress](const engine::Column& col) {
+/// Compressed residency of a node output before it enters residency
+/// accounting: plain string columns are dictionary-encoded, keeping an
+/// encoding only when it is actually smaller (an all-unique column stays
+/// plain). Consumers see the same logical values (operators and
+/// Table::operator== are representation-agnostic), while ByteSize, hence
+/// budgets, grants and profiled output sizes, shrinks.
+engine::TablePtr CompressForResidency(engine::TablePtr table) {
+  auto plain_string = [](const engine::Column& col) {
     return col.type() == engine::DataType::kString &&
-           col.dictionary_encoded() != compress;
+           !col.dictionary_encoded();
   };
   bool candidate = false;
   for (std::size_t i = 0; i < table->num_columns(); ++i) {
-    if (convertible(table->column(i))) {
+    if (plain_string(table->column(i))) {
       candidate = true;
       break;
     }
@@ -344,12 +357,7 @@ engine::TablePtr ResidencyRepresentation(engine::TablePtr table,
   bool changed = false;
   for (std::size_t i = 0; i < converted->num_columns(); ++i) {
     engine::Column& col = converted->mutable_column(i);
-    if (!convertible(col)) continue;
-    if (!compress) {
-      col = col.DecodeDictionary();
-      changed = true;
-      continue;
-    }
+    if (!plain_string(col)) continue;
     engine::Column encoded = col.DictionaryEncode();
     if (encoded.ByteSize() < col.ByteSize()) {
       col = std::move(encoded);
@@ -435,16 +443,12 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
   //
   // Morsel work is pure compute, so fan-out beyond physical cores only
   // adds dispatch cost even when the pool is (deliberately)
-  // oversubscribed for I/O-bound nodes. Cap at hardware concurrency
-  // unless the caller pinned an explicit lane cap.
-  int lane_cap = s.options.morsel_max_lanes;
-  if (lane_cap <= 0) {
-    lane_cap = static_cast<int>(std::thread::hardware_concurrency());
-    if (lane_cap <= 0) lane_cap = 1;
-  }
+  // oversubscribed for I/O-bound nodes: cap at hardware concurrency (on
+  // a 1-core host this disables fan-out outright).
+  const int lane_cap =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   const int morsel_budget = opt::MorselBudget(
-      s.node_est_seconds[static_cast<std::size_t>(v)],
-      s.options.morsel_target_seconds,
+      s.node_est_seconds[static_cast<std::size_t>(v)], kMorselTargetSeconds,
       std::min(s.pool.capacity(), lane_cap));
 
   // Each attempt is self-contained (fresh resolver, fresh timings), so a
@@ -475,10 +479,8 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
         LaneMorselRunner runner(&s.pool, trace,
                                 s.options.trace_job_id, stats.name,
                                 &s.morsel_tasks, s.options.cancel);
-        engine::MorselContext morsel_context(
-            &runner, morsel_budget,
-            static_cast<std::size_t>(
-                std::max<std::int64_t>(1, s.options.morsel_min_rows)));
+        engine::MorselContext morsel_context(&runner, morsel_budget,
+                                             kMorselMinRows);
         engine::MorselScope scope(&morsel_context);
         result.output = std::make_shared<engine::Table>(
             engine::ExecutePlan(*s.wl.plans[v], resolver));
@@ -486,8 +488,7 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
         result.output = std::make_shared<engine::Table>(
             engine::ExecutePlan(*s.wl.plans[v], resolver));
       }
-      result.output = ResidencyRepresentation(
-          std::move(result.output), s.options.compress_residency);
+      result.output = CompressForResidency(std::move(result.output));
       const double exec_seconds = MonotonicSeconds() - exec_start;
       stats.read_seconds = read_seconds;
       stats.compute_seconds = std::max(0.0, exec_seconds - read_seconds);
@@ -649,8 +650,8 @@ void AwaitMaterializations(RunState& s) {
 /// are released the moment its write completes, before its publish slot.
 ///
 /// Small nodes short-circuit the lane machinery entirely: a ready node
-/// whose estimated cost falls below ControllerOptions::
-/// inline_node_cost_seconds is queued to the coordinator itself, which
+/// whose estimated cost is at most kInlineNodeCostSeconds is queued to
+/// the coordinator itself, which
 /// executes it between publishes — same readiness rules, same
 /// reservation backpressure, same in-order publish, but no cross-thread
 /// handoff (RunReport::inlined_nodes counts these).
@@ -682,12 +683,9 @@ void RunStageParallel(RunState& s, int lanes, RunReport* report) {
   // estimated wall cost is at or below the threshold, so executing it on
   // the coordinator beats paying the lane handoff. Unprofiled nodes
   // estimate to +inf and stay on lanes.
-  const double inline_threshold = s.options.inline_node_cost_seconds;
   auto runs_inline = [&](graph::NodeId v) {
-    return one_lane ||
-           (inline_threshold > 0 &&
-            s.node_est_seconds[static_cast<std::size_t>(v)] <=
-                inline_threshold);
+    return one_lane || s.node_est_seconds[static_cast<std::size_t>(v)] <=
+                           kInlineNodeCostSeconds;
   };
   // Inline nodes queue here instead of going to a lane; the coordinator
   // executes them itself between publishes. They count toward

@@ -39,9 +39,11 @@ class Materializer {
  public:
   /// `pool` (not owned) must outlive this object. `trace` (optional, not
   /// owned) receives a "materialize" span per completed write on this
-  /// materializer's track ("materializer-<k>").
+  /// materializer's track ("materializer-<k>"), and a "retry" instant per
+  /// retried write, each stamped with `trace_job_id` (the "job" arg).
   Materializer(storage::ThrottledDisk* disk, LanePool& pool,
-               obs::TraceRecorder* trace = nullptr);
+               obs::TraceRecorder* trace = nullptr,
+               std::uint64_t trace_job_id = 0);
   /// Waits for every queued write to finish.
   ~Materializer();
 
@@ -88,6 +90,7 @@ class Materializer {
   storage::ThrottledDisk* disk_;
   LanePool& pool_;
   obs::TraceRecorder* trace_;  // not owned; may be null
+  std::uint64_t trace_job_id_;
   std::string track_;          // "materializer-<k>" trace track
   int retry_limit_ = 0;
   double retry_backoff_ms_ = 1.0;
@@ -116,26 +119,6 @@ struct ControllerOptions {
   /// published to the Memory Catalog in optimized order; node stats,
   /// catalog hit/miss counts and peak memory match the 1-lane run.
   int max_parallel_nodes = 1;
-  /// Inline small-node dispatch threshold (seconds). In runs with more
-  /// than one lane, a ready node whose estimated wall cost
-  /// (opt::EstimateNodeSeconds: profiled compute plus modeled I/O under
-  /// throttled storage) is at or below this threshold executes on the
-  /// coordinator thread itself instead of being handed to a LanePool
-  /// lane — for sub-millisecond nodes the cross-thread handoff and wakeup
-  /// cost more than the node, which is what made lanes *lose* to one lane
-  /// on cheap workloads. Nodes that were never profiled have unknown cost
-  /// and always go to a lane. <= 0 disables inlining. A 1-lane run
-  /// executes every node on the coordinator whatever the threshold.
-  /// Inlined executions are reported in RunReport::inlined_nodes;
-  /// results, publish order, and catalog behaviour are unaffected
-  /// (stage_runtime_test asserts equivalence with the 1-lane run with the
-  /// threshold active).
-  ///
-  /// The 1 ms default is ~10x the measured lane handoff + wakeup cost:
-  /// vectorized operator nodes at bench scale profile at 5-200 us (pure
-  /// dispatch overhead if offloaded), while I/O-bound nodes on throttled
-  /// storage estimate at several ms and keep their lane parallelism.
-  double inline_node_cost_seconds = 0.001;
   /// Service-wide executor pool the run borrows its execution lanes,
   /// morsel helpers and Materializer drain from (not owned; must outlive
   /// the Controller's runs). When null, the Controller owns one pool of
@@ -143,47 +126,6 @@ struct ControllerOptions {
   /// RefreshService always supplies its shared pool so steady-state jobs
   /// pay zero thread construction.
   LanePool* lane_pool = nullptr;
-  /// Morsel-driven intra-operator parallelism (Leis et al., SIGMOD
-  /// 2014): a node whose estimated wall cost (opt::EstimateNodeSeconds,
-  /// the same model behind inline dispatch) exceeds this target has the
-  /// parallel passes of its hash joins and aggregates (key hashing, the
-  /// join's output gather, the aggregate's pass 2) split into up to
-  /// opt::MorselBudget(est, target, pool capacity) morsels executed by
-  /// idle lanes of the run's LanePool; build/probe and grouping stay on
-  /// one sequential hash table. Results are bit-identical to
-  /// single-morsel execution (engine_morsel_test pins this against
-  /// scalar_reference), the node still completes and publishes as one
-  /// unit, and unprofiled nodes (est = +inf) get the full budget with
-  /// the per-operator row floor below making the runtime call. <= 0
-  /// disables interior fan-out entirely (the exact pre-morsel code
-  /// path). Fan-out is capped at the pool's capacity, so a standalone
-  /// 1-lane Controller always runs single-morsel.
-  double morsel_target_seconds = 0.005;
-  /// Row floor per morsel: operators fan out only ranges of at least
-  /// this many rows (a smaller morsel pays more in dispatch than it
-  /// saves), regardless of the cost-model budget.
-  std::int64_t morsel_min_rows = 8192;
-  /// Cap on a node's interior fan-out. 0 (default) caps at the machine's
-  /// hardware concurrency: morsel work is pure compute, so extra morsels
-  /// beyond physical cores only add dispatch cost even when the LanePool
-  /// is deliberately oversubscribed for I/O-bound nodes (on a 1-core CI
-  /// runner this disables fan-out outright). An explicit value overrides
-  /// the hardware cap — tests pin it for machine-independent behaviour.
-  int morsel_max_lanes = 0;
-  /// Compressed columnar residency: node outputs have their plain string
-  /// columns dictionary-encoded (engine::Column::DictionaryEncode)
-  /// before they enter residency accounting, whenever the encoding is
-  /// actually smaller (all-unique strings stay plain). Representation is
-  /// invisible to consumers — Table::operator== is
-  /// representation-agnostic, every operator accepts encoded inputs, and
-  /// the disk always stores strings dictionary-encoded — but the smaller
-  /// ByteSize is what the Memory Catalog, the cross-job SharedCatalog,
-  /// and the profiled NodeScale (hence the knapsack optimizer) see, so
-  /// string-heavy workloads pack more MVs per byte of budget. Off
-  /// decodes every string column of a node output to plain (including
-  /// the dictionary columns disk reads return), reproducing the
-  /// pre-compression footprints.
-  bool compress_residency = true;
   /// Cross-job shared residency layer. When set, the run's Memory
   /// Catalog becomes a per-job view over this content-keyed
   /// SharedCatalog: node names are bound to content fingerprints
@@ -331,6 +273,14 @@ struct RunReport {
 /// reservation API additionally backpressures dispatch so concurrently
 /// executing flagged nodes cannot jointly overshoot the budget while
 /// their outputs are in flight.
+///
+/// Node outputs enter residency with their string columns
+/// dictionary-encoded wherever that is smaller, so budgets, grants and
+/// profiled sizes all count the compressed footprint. In runs with more
+/// than one lane, profiled nodes estimated at no more than a millisecond
+/// execute inline on the coordinator thread, and nodes estimated well
+/// above the morsel target split their hash-join and aggregate passes
+/// into morsels run by idle lanes (results are bit-identical).
 ///
 /// Availability is decoupled from that residency replay (the relaxed
 /// publish protocol): an unflagged node's children become dispatchable

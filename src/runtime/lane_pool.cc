@@ -9,12 +9,6 @@
 
 namespace sc::runtime {
 
-namespace {
-thread_local int current_lane_index = -1;
-}  // namespace
-
-int CurrentLaneIndex() { return current_lane_index; }
-
 LanePool::LanePool(LanePoolOptions options) : options_([&] {
   LanePoolOptions o = options;
   o.capacity = std::max(1, o.capacity);
@@ -69,8 +63,8 @@ void LanePool::ReapLocked() {
 
 void LanePool::Loop(std::list<Lane>::iterator self, int lane_index) {
   // Lane identity for the observability layer: node spans emitted while
-  // this lane executes land on its own trace track.
-  current_lane_index = lane_index;
+  // this lane executes land on its own trace track ("lane-<n>"), which
+  // renders the trace as a lane-occupancy timeline.
   obs::SetThreadTrack("lane-" + std::to_string(lane_index));
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {

@@ -38,7 +38,7 @@ struct LanePoolOptions {
 class LanePool {
  public:
   explicit LanePool(int capacity)
-      : LanePool(LanePoolOptions{capacity, 30.0}) {}
+      : LanePool(LanePoolOptions{capacity}) {}
   explicit LanePool(LanePoolOptions options);
   /// Runs every queued task to completion, then joins the lanes.
   ~LanePool();
@@ -105,11 +105,6 @@ class LanePool {
   std::atomic<std::int64_t> busy_nanos_{0};
   std::atomic<std::int64_t> tasks_failed_{0};
 };
-
-/// The calling lane's pool-assigned index, or -1 off a lane thread. Lane
-/// indices also name the thread's trace track ("lane-<n>"), which is
-/// what renders the obs trace as a lane-occupancy timeline.
-int CurrentLaneIndex();
 
 }  // namespace sc::runtime
 

@@ -20,6 +20,9 @@ namespace {
 /// of the grant early. The slack absorbs actual output sizes overshooting
 /// the optimizer's estimates.
 constexpr double kBudgetReturnSlack = 1.25;
+/// Under overload a job asks the broker for this share of its request:
+/// half admits sooner yet still funds a plan that keeps some residency.
+constexpr double kOverloadBudgetFraction = 0.5;
 }  // namespace
 
 RefreshService::RefreshService(storage::ThrottledDisk* disk,
@@ -31,8 +34,6 @@ RefreshService::RefreshService(storage::ThrottledDisk* disk,
       broker_([&] {
         BudgetBrokerOptions broker_options;
         broker_options.global_budget = options_.global_budget;
-        broker_options.default_tenant_quota = options_.default_tenant_quota;
-        broker_options.min_grant_fraction = options_.min_grant_fraction;
         broker_options.fault_injector = options_.fault_injector;
         return broker_options;
       }()),
@@ -48,13 +49,7 @@ RefreshService::RefreshService(storage::ThrottledDisk* disk,
       }()) {
   // Trace wiring happens before any worker spawns: the SharedCatalog's
   // recorder hook must be set before concurrent use.
-  if (options_.trace != nullptr) {
-    trace_ = options_.trace;
-  } else if (!options_.trace_path.empty()) {
-    owned_trace_ = std::make_unique<obs::TraceRecorder>();
-    trace_ = owned_trace_.get();
-  }
-  shared_catalog_.SetTraceRecorder(trace_);
+  shared_catalog_.SetTraceRecorder(options_.trace);
   // Fault wiring also precedes the workers: injection points on the
   // shared disk, the shared catalog, and the broker (via its options)
   // must be armed before any job can reach them.
@@ -304,14 +299,6 @@ void RefreshService::Shutdown(bool drain) {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-  // All spans are recorded by now (workers joined); flush the owned
-  // recorder's trace exactly once. A caller-supplied recorder is the
-  // caller's to export.
-  if (owned_trace_ != nullptr && !trace_written_ &&
-      !options_.trace_path.empty()) {
-    trace_written_ = true;
-    obs::WriteChromeTraceFile(*owned_trace_, options_.trace_path);
-  }
 }
 
 void RefreshService::SetTenantQuota(const std::string& tenant,
@@ -411,14 +398,15 @@ JobResult RefreshService::Execute(Job& job) {
   // admission queue (submit -> this worker picking it up), then time
   // blocked in budget arbitration. The args carry job id and tenant so
   // AnalyzeTrace can slice the breakdown per job.
-  const bool tracing = trace_ != nullptr && trace_->enabled();
+  obs::TraceRecorder* const trace = options_.trace;
+  const bool tracing = trace != nullptr && trace->enabled();
   const double picked_up_seconds = MonotonicSeconds();
   std::string job_args;
   if (tracing) {
     job_args = StrFormat("\"job\":%llu,\"tenant\":\"%s\"",
                          static_cast<unsigned long long>(job.id),
                          obs::JsonEscape(job.spec.tenant).c_str());
-    trace_->Complete("job", "queued", job.submit_seconds,
+    trace->Complete("job", "queued", job.submit_seconds,
                      picked_up_seconds - job.submit_seconds, job_args);
   }
 
@@ -429,11 +417,9 @@ JobResult RefreshService::Execute(Job& job) {
   std::int64_t budget_to_request = result.requested_budget;
   if (options_.overload_queue_depth > 0 &&
       queue_depth() > options_.overload_queue_depth) {
-    double fraction = options_.overload_budget_fraction;
-    if (!(fraction > 0.0 && fraction <= 1.0)) fraction = 1.0;
     budget_to_request = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(
-               static_cast<double>(budget_to_request) * fraction));
+        1, static_cast<std::int64_t>(static_cast<double>(budget_to_request) *
+                                     kOverloadBudgetFraction));
     if (budget_to_request < result.requested_budget) {
       job.series->degraded->Increment();
     }
@@ -446,9 +432,9 @@ JobResult RefreshService::Execute(Job& job) {
   const double exec_start = MonotonicSeconds();
   job.admit_seconds.store(exec_start);
   if (tracing) {
-    trace_->Complete("job", "wait-budget", picked_up_seconds,
+    trace->Complete("job", "wait-budget", picked_up_seconds,
                      exec_start - picked_up_seconds, job_args);
-    trace_->Instant(
+    trace->Instant(
         "budget", "grant",
         job_args + StrFormat(",\"bytes\":%lld",
                              static_cast<long long>(grant.bytes)));
@@ -481,8 +467,8 @@ JobResult RefreshService::Execute(Job& job) {
     // grant; otherwise the optimizer runs at the granted budget. With
     // intra-job lanes enabled the optimizer applies the stage-aware
     // ordering post-pass, so cached plans are widened exactly once.
-    opt::AlternatingOptions optimizer_options = options_.optimizer;
-    optimizer_options.widen_stages |= options_.max_intra_job_lanes > 1;
+    opt::AlternatingOptions optimizer_options;
+    optimizer_options.widen_stages = options_.max_intra_job_lanes > 1;
 
     // Sharing-aware pre-pass: snapshot which of this graph's outputs are
     // already resident in the cross-job shared layer. Residency-adjusted
@@ -490,29 +476,26 @@ JobResult RefreshService::Execute(Job& job) {
     // traffic with a stable resident set still skips optimization; the
     // base (residency-agnostic) plan stays cached under the plain
     // fingerprint and seeds the adjustment.
-    std::vector<bool> resident;
+    // Outlives the controller runs.
+    const std::vector<std::uint64_t> fps =
+        graph::FingerprintNodes(wl.graph, options_.shared_epoch);
+    const std::vector<bool> resident = shared_catalog_.ContainsAll(fps);
+    // Only positive-score resident nodes change the optimization problem
+    // (ReOptimizeWithResidency's own no-op test), so only they salt the
+    // cache key — resident zero-score nodes (routine: unflagged outputs
+    // are published too) must not mint duplicate plan-cache entries for
+    // identical plans.
     bool any_resident = false;
-    std::uint64_t plan_key = job.fingerprint;
-    std::vector<std::uint64_t> fps;  // outlives the controller runs
-    if (options_.share_catalog) {
-      fps = graph::FingerprintNodes(wl.graph, options_.shared_epoch);
-      resident = shared_catalog_.ContainsAll(fps);
-      // Only positive-score resident nodes change the optimization
-      // problem (ReOptimizeWithResidency's own no-op test), so only
-      // they salt the cache key — resident zero-score nodes (routine:
-      // unflagged outputs are published too) must not mint duplicate
-      // plan-cache entries for identical plans.
-      std::uint64_t residency_salt = kFnvOffset;
-      for (std::size_t v = 0; v < resident.size(); ++v) {
-        if (resident[v] &&
-            wl.graph.node(static_cast<graph::NodeId>(v)).speedup_score >
-                0.0) {
-          any_resident = true;
-          FnvMixUint(&residency_salt, fps[v]);
-        }
+    std::uint64_t residency_salt = kFnvOffset;
+    for (std::size_t v = 0; v < resident.size(); ++v) {
+      if (resident[v] &&
+          wl.graph.node(static_cast<graph::NodeId>(v)).speedup_score > 0.0) {
+        any_resident = true;
+        FnvMixUint(&residency_salt, fps[v]);
       }
-      if (any_resident) plan_key = job.fingerprint ^ residency_salt;
     }
+    const std::uint64_t plan_key =
+        any_resident ? job.fingerprint ^ residency_salt : job.fingerprint;
 
     opt::Plan plan;
     opt::StageDecomposition stages;
@@ -578,7 +561,7 @@ JobResult RefreshService::Execute(Job& job) {
       plan_cache_.Insert(plan_key, grant.bytes, plan, stages);
     }
     if (tracing) {
-      trace_->Complete(
+      trace->Complete(
           "plan", result.plan_cache_hit ? "cache-hit" : "optimize",
           plan_start, MonotonicSeconds() - plan_start, job_args);
     }
@@ -601,7 +584,7 @@ JobResult RefreshService::Execute(Job& job) {
         result.returned_budget = grant.bytes - keep;
         broker_.ReturnUnused(&grant, result.returned_budget);
         if (tracing) {
-          trace_->Instant(
+          trace->Instant(
               "budget", "return",
               job_args +
                   StrFormat(",\"bytes\":%lld",
@@ -619,7 +602,6 @@ JobResult RefreshService::Execute(Job& job) {
     result.lanes = lanes;
     runtime::ControllerOptions controller_options;
     controller_options.max_parallel_nodes = lanes;
-    controller_options.compress_residency = options_.compress_residency;
     // Runs borrow lanes and materializer drains from the service-wide
     // pool — zero thread construction per job in steady state.
     controller_options.lane_pool = &lane_pool_;
@@ -632,28 +614,25 @@ JobResult RefreshService::Execute(Job& job) {
     controller_options.retry_backoff_ms = options_.retry_backoff_ms;
     // The run's node/publish/materialize spans join this job's slice of
     // the service trace.
-    controller_options.trace = trace_;
+    controller_options.trace = trace;
     controller_options.trace_job_id = job.id;
-    if (options_.share_catalog) {
-      // All workers publish to and read from the one shared layer;
-      // pinned cross-job bytes are charged to the reading tenant's
-      // quota (once per content key) through the broker hook.
-      controller_options.shared_catalog = &shared_catalog_;
-      controller_options.shared_epoch = options_.shared_epoch;
-      // Reuse the residency snapshot's fingerprints (empty or mismatched
-      // vectors are recomputed by the controller).
-      controller_options.node_fingerprints = &fps;
-      controller_options.shared_pin_listener =
-          [this, tenant = job.spec.tenant](std::uint64_t key,
-                                           std::int64_t bytes,
-                                           bool pinned) {
-            if (pinned) {
-              broker_.PinShared(tenant, key, bytes);
-            } else {
-              broker_.UnpinShared(tenant, key);
-            }
-          };
-    }
+    // All workers publish to and read from the one shared layer; pinned
+    // cross-job bytes are charged to the reading tenant's quota (once per
+    // content key) through the broker hook.
+    controller_options.shared_catalog = &shared_catalog_;
+    controller_options.shared_epoch = options_.shared_epoch;
+    // Reuse the residency snapshot's fingerprints (empty or mismatched
+    // vectors are recomputed by the controller).
+    controller_options.node_fingerprints = &fps;
+    controller_options.shared_pin_listener =
+        [this, tenant = job.spec.tenant](std::uint64_t key,
+                                         std::int64_t bytes, bool pinned) {
+          if (pinned) {
+            broker_.PinShared(tenant, key, bytes);
+          } else {
+            broker_.UnpinShared(tenant, key);
+          }
+        };
     runtime::Controller controller(disk_, controller_options);
     // The grant, not the controller default, is the catalog budget.
     result.report = controller.RunWithBudget(wl, plan, grant.bytes,
@@ -707,9 +686,10 @@ JobResult RefreshService::FinishJob(Job& job, JobResult result,
                                     const std::string& trace_args,
                                     bool held_grant) {
   result.exec_seconds = MonotonicSeconds() - exec_start;
-  if (trace_ != nullptr && trace_->enabled()) {
-    if (held_grant) trace_->Instant("budget", "release", trace_args);
-    trace_->Complete("job", "execute", exec_start, result.exec_seconds,
+  obs::TraceRecorder* const trace = options_.trace;
+  if (trace != nullptr && trace->enabled()) {
+    if (held_grant) trace->Instant("budget", "release", trace_args);
+    trace->Complete("job", "execute", exec_start, result.exec_seconds,
                      trace_args);
   }
   // Disposition taxonomy: the Controller reports *whether* the run was

@@ -47,23 +47,6 @@ struct ServiceOptions {
   int max_intra_job_lanes = 1;
   /// Global Memory-Catalog bytes shared by all in-flight jobs.
   std::int64_t global_budget = 256LL * 1024 * 1024;
-  /// Default per-tenant reservation cap (0 = uncapped); per-tenant
-  /// overrides via RefreshService::SetTenantQuota.
-  std::int64_t default_tenant_quota = 0;
-  /// Minimum fundable fraction of a request before admission (see
-  /// BudgetBrokerOptions::min_grant_fraction).
-  double min_grant_fraction = 0.25;
-  /// Cross-job Memory-Catalog sharing: route every worker's runs through
-  /// one content-keyed storage::SharedCatalog (budget = global_budget),
-  /// so tenants refreshing the same content read each other's resident
-  /// outputs — and skip recomputing nodes whose outputs are already
-  /// resident — instead of each funding a private catalog slice. Jobs
-  /// also plan sharing-aware: shared residency is snapshotted before
-  /// planning and resident nodes are re-costed
-  /// (opt::ReOptimizeWithResidency), steering the knapsack budget to
-  /// not-yet-shared nodes. Off reproduces the private-catalog behaviour
-  /// exactly.
-  bool share_catalog = true;
   /// SharedCatalog spill tier: when non-empty, entries evicted under
   /// budget pressure are demoted to compressed SCC1 files in this
   /// directory and lazily refilled on their next Pin (counted as
@@ -80,29 +63,18 @@ struct ServiceOptions {
   /// detected (checksums), counted, and never served; orphan files are
   /// removed at startup. Off (default) treats the directory as scratch.
   bool spill_recover = false;
-  /// Compressed columnar residency: dictionary-encode string columns of
-  /// node outputs before they enter catalog accounting (see
-  /// runtime::ControllerOptions::compress_residency). Off reproduces the
-  /// plain-string footprints of the pre-compression service.
-  bool compress_residency = true;
   /// Content-fingerprint salt (a data epoch): bump it to invalidate
   /// every cross-job match, e.g. after base tables change.
   std::uint64_t shared_epoch = 0;
-  /// Optimizer configuration used when a job misses the plan cache.
-  opt::AlternatingOptions optimizer;
   /// Observability trace recorder (obs::TraceRecorder) every job's
   /// lifecycle spans are emitted into: queued / wait-budget / execute on
   /// the worker tracks, budget grant / return / release instants,
   /// plan-cache lookups, and — via the Controller — per-node execute /
   /// publish / materialize spans on the lane tracks. Not owned; must
-  /// outlive the service. Null with an empty trace_path (the default)
-  /// disables tracing entirely: every boundary costs one branch.
+  /// outlive the service; export it after Shutdown with
+  /// obs::WriteChromeTraceFile. Null (the default) disables tracing
+  /// entirely: every boundary costs one branch.
   obs::TraceRecorder* trace = nullptr;
-  /// Convenience alternative to `trace`: when non-empty (and `trace` is
-  /// null), the service owns a recorder and writes the Chrome/Perfetto
-  /// trace JSON here at Shutdown — load the file in chrome://tracing or
-  /// ui.perfetto.dev to see the run as a per-lane timeline.
-  std::string trace_path;
   /// Deterministic fault injection (tests / chaos CI): wired into the
   /// disk, the shared catalog, the budget broker, and every job's
   /// Controller. Not owned; must outlive the service. Null (default)
@@ -115,14 +87,11 @@ struct ServiceOptions {
   /// 64x (ControllerOptions::retry_backoff_ms).
   double retry_backoff_ms = 1.0;
   /// Graceful degradation under overload: when the admission queue is
-  /// deeper than this at pickup time, the job's budget request is scaled
-  /// by overload_budget_fraction before hitting the broker — smaller
-  /// grants admit faster and free memory for the backlog; the existing
-  /// partial-grant path re-optimizes the plan at the reduced budget.
-  /// 0 (default) disables degradation.
+  /// deeper than this at pickup time, the job asks the broker for half
+  /// its budget request — smaller grants admit faster and free memory
+  /// for the backlog; the existing partial-grant path re-optimizes the
+  /// plan at the reduced budget. 0 (default) disables degradation.
   std::size_t overload_queue_depth = 0;
-  /// Budget multiplier applied under overload (clamped to (0, 1]).
-  double overload_budget_fraction = 0.5;
 };
 
 /// One refresh job: an annotated workload (speedup scores present, e.g.
@@ -197,8 +166,8 @@ struct JobResult {
 /// known, budget beyond the plan's needs is handed back to the
 /// BudgetBroker early (grant renegotiation).
 ///
-/// With share_catalog (the default), every worker's runs are routed
-/// through one content-keyed storage::SharedCatalog: tenants refreshing
+/// Every worker's runs are routed through one content-keyed
+/// storage::SharedCatalog (budget = global_budget): tenants refreshing
 /// the same content read — and reuse outright — each other's resident
 /// outputs instead of recomputing them, the sharing-aware pre-pass
 /// re-costs already-resident nodes before planning, and pinned cross-job
@@ -255,7 +224,7 @@ class RefreshService {
   const PlanCache& plan_cache() const { return plan_cache_; }
   PlanCache& plan_cache() { return plan_cache_; }
   /// The cross-job shared residency layer every worker's runs publish to
-  /// and read from (ServiceOptions::share_catalog).
+  /// and read from.
   const storage::SharedCatalog& shared_catalog() const {
     return shared_catalog_;
   }
@@ -272,9 +241,6 @@ class RefreshService {
   std::string PrometheusText() const {
     return registry_.ToPrometheusText();
   }
-  /// The active trace recorder (options().trace, the owned recorder
-  /// behind trace_path, or null when tracing is off).
-  obs::TraceRecorder* trace() const { return trace_; }
 
  private:
   struct Job {
@@ -336,16 +302,11 @@ class RefreshService {
   runtime::LanePool lane_pool_;
   PlanCache plan_cache_;
   storage::SharedCatalog shared_catalog_;
-  /// Owned recorder behind ServiceOptions::trace_path (null when the
-  /// caller supplied one or tracing is off).
-  std::unique_ptr<obs::TraceRecorder> owned_trace_;
-  obs::TraceRecorder* trace_ = nullptr;  // the active recorder, if any
   /// Declared after every component it mirrors: its callback gauges read
   /// lane_pool_ / shared_catalog_ / broker_ / plan_cache_, so it must be
   /// destroyed first.
   obs::Registry registry_;
   JobMetrics job_metrics_{&registry_};
-  bool trace_written_ = false;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;

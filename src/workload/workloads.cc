@@ -785,68 +785,6 @@ MvWorkload BuildStringHeavySynthetic(int width) {
   return wl;
 }
 
-MvWorkload BuildChainsSynthetic(int chains, int depth) {
-  using engine::Col;
-  using engine::CountAll;
-  using engine::Lit;
-  using engine::Scan;
-  MvWorkload wl;
-  wl.name = "chains_synthetic";
-  wl.description = "independent rollup chains (stage-aware ordering shape)";
-  const std::vector<std::string> facts = {"store_sales", "catalog_sales",
-                                          "web_sales"};
-  for (int c = 0; c < chains; ++c) {
-    const std::string& fact =
-        facts[static_cast<std::size_t>(c) % facts.size()];
-    const std::string prefix = ChannelPrefix(fact);
-    std::string parent;
-    for (int d = 0; d < depth; ++d) {
-      const std::string name =
-          "chain_" + std::to_string(c) + "_" + std::to_string(d);
-      PlanPtr plan;
-      if (d == 0) {
-        // Chain root: per-item rollup of one sales channel.
-        plan = engine::Aggregate(
-            engine::Filter(Scan(fact),
-                           engine::Gt(Col(prefix + "_customer_sk"),
-                                      Lit(static_cast<std::int64_t>(c)))),
-            {prefix + "_item_sk"},
-            {SumOf(Col(prefix + "_quantity"), "qty"), CountAll("cnt")});
-        plan = engine::Project(
-            std::move(plan),
-            {NamedExpr{"item_sk", Col(prefix + "_item_sk")},
-             NamedExpr{"qty", Col("qty")}, NamedExpr{"cnt", Col("cnt")}});
-      } else {
-        // Each link refines its parent against the fact table (the
-        // incremental-refinement MV shape), keeping the schema stable.
-        // Every link therefore performs real warehouse I/O — which is
-        // what makes execution-order choice matter to lane utilization.
-        plan = engine::Aggregate(
-            engine::HashJoin(
-                engine::Filter(
-                    Scan(fact),
-                    engine::Gt(Col(prefix + "_quantity"),
-                               Lit(static_cast<std::int64_t>(d)))),
-                Scan(parent), {prefix + "_item_sk"}, {"item_sk"}),
-            {prefix + "_item_sk"},
-            {SumOf(Col(prefix + "_quantity"), "qty"), CountAll("cnt")});
-        plan = engine::Project(
-            std::move(plan),
-            {NamedExpr{"item_sk", Col(prefix + "_item_sk")},
-             NamedExpr{"qty", Col("qty")}, NamedExpr{"cnt", Col("cnt")}});
-      }
-      const graph::NodeId v = wl.graph.AddNode(name);
-      wl.plans.push_back(std::move(plan));
-      wl.scale.push_back(d == 0 ? MedMv() : SmallMv());
-      if (d > 0) {
-        wl.graph.AddEdge(*wl.graph.FindByName(parent), v);
-      }
-      parent = name;
-    }
-  }
-  return wl;
-}
-
 bool ValidateWorkload(const MvWorkload& wl, std::string* error) {
   auto fail = [&](const std::string& msg) {
     if (error != nullptr) *error = wl.name + ": " + msg;

@@ -67,14 +67,6 @@ MvWorkload BuildWideSynthetic(int width, bool heavy = false);
 /// Memory-Catalog budget.
 MvWorkload BuildStringHeavySynthetic(int width);
 
-/// A synthetic multi-chain workload: `chains` independent linear chains
-/// of `depth` rollups over the sales channels ("chain_<c>_<d>"), i.e.
-/// `depth` antichain stages of width `chains`. This is the shape where
-/// execution-order choice matters to the parallel runtime: a depth-first
-/// order starves early antichains, a stage-major order feeds every lane
-/// (see opt::WidenStages).
-MvWorkload BuildChainsSynthetic(int chains, int depth);
-
 /// Consistency check used by tests: every plan's scan leaves are either
 /// base tables or names of graph parents, and edges match plan references.
 bool ValidateWorkload(const MvWorkload& wl, std::string* error);

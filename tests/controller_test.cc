@@ -210,13 +210,14 @@ TEST(ControllerTest, ProfileScoresUseTheThrottledDiskUnits) {
 // With every SCC1 dictionary page interned, the string-heavy refresh
 // (fact and dimension category columns written from one domain
 // dictionary) never leaves the int32-code path, whether inputs come from
-// disk or from the Memory Catalog.
+// disk or from the Memory Catalog. Outputs enter residency compressed:
+// each string-heavy rollup's resident size is below that of its
+// plain-string twin.
 TEST(ControllerTest, StringHeavyRefreshHasNoCrossDictionaryFallbacks) {
   workload::StringHeavyOptions data_options;
   data_options.scale = 0.2;
   storage::ThrottledDisk disk(FreshDir("strheavy"), FastDisk());
   ControllerOptions options;
-  options.compress_residency = true;
   options.budget = 16LL * 1024 * 1024;
   Controller controller(&disk, options);
   controller.LoadBaseTables(workload::GenerateStringHeavyData(data_options));
@@ -238,11 +239,24 @@ TEST(ControllerTest, StringHeavyRefreshHasNoCrossDictionaryFallbacks) {
        workload::GenerateStringHeavyData(data_options)) {
     reference.Put(name, table);
   }
+  std::map<std::string, std::int64_t> resident_bytes;
+  for (const NodeRunStats& node : report.nodes) {
+    resident_bytes[node.name] = node.output_bytes;
+  }
   for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
     const std::string& name = wl.graph.node(v).name;
     auto expected = std::make_shared<engine::Table>(
         engine::ExecutePlan(*wl.plans[v], reference));
     EXPECT_TRUE(disk.ReadTable(name) == *expected) << name;
+    // The plain-decoded twin of the output.
+    engine::Table plain = *expected;
+    for (std::size_t i = 0; i < plain.num_columns(); ++i) {
+      engine::Column& col = plain.mutable_column(i);
+      if (col.dictionary_encoded()) col = col.DecodeDictionary();
+    }
+    if (name.rfind("strheavy_mv_", 0) == 0) {
+      EXPECT_LT(resident_bytes.at(name), plain.ByteSize()) << name;
+    }
     reference.Put(name, std::move(expected));
   }
 }

@@ -378,7 +378,6 @@ TEST(FaultInjectionTest, OverloadDegradesBudgetRequests) {
   options.num_workers = 1;  // pile the queue behind one worker
   options.global_budget = 16LL * 1024 * 1024;
   options.overload_queue_depth = 2;
-  options.overload_budget_fraction = 0.5;
   RefreshService service(&disk, options);
 
   constexpr int kJobs = 8;

@@ -202,15 +202,18 @@ TracedRun RunControllerTraced(const std::string& tag, int lanes) {
   }
   const std::int64_t budget = 16LL * 1024 * 1024;
   const auto optimized = opt::Optimizer{}.Optimize(wl.graph, budget);
+  // Profile every node far above the inline threshold so each one goes
+  // to a LanePool lane and lane tracks appear even for the cheap nodes
+  // the dispatcher would inline. (At one lane the coordinator runs every
+  // node regardless.)
+  for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
+    wl.graph.mutable_node(v).compute_seconds = 1.0;
+  }
 
   TraceRecorder recorder;
   runtime::ControllerOptions options;
   options.budget = budget;
   options.max_parallel_nodes = lanes;
-  // Force every node onto a LanePool lane so lane tracks appear even
-  // for the cheap profiled nodes the dispatcher would inline. (At one
-  // lane the coordinator runs every node regardless.)
-  options.inline_node_cost_seconds = 0.0;
   options.trace = &recorder;
   options.trace_job_id = 42;
   runtime::Controller controller(&disk, options);
@@ -291,6 +294,20 @@ TEST(ControllerTraceTest, SpanOrderingMatchesPublishOrderAcrossLanes) {
                   });
   EXPECT_TRUE(any_lane_track)
       << "expected lane-* tracks among " << four_tracks.size();
+
+  // Background writes belong to the job too: every materialize span
+  // carries the job id, so a multi-job trace can attribute them.
+  for (const TracedRun* run : {&one, &four}) {
+    int materialize_spans = 0;
+    for (const auto& event : run->events) {
+      if (event.category == "materialize") {
+        ++materialize_spans;
+        EXPECT_NE(event.args_json.find("\"job\":42"), std::string::npos)
+            << event.name << " " << event.args_json;
+      }
+    }
+    EXPECT_GT(materialize_spans, 0);
+  }
 
   // Parallel dispatch emits stage-advance instants.
   bool any_stage_instant = false;
@@ -399,7 +416,7 @@ TEST(ServiceTraceTest, FourTenantFourLaneRunReconstructs) {
   EXPECT_NE(text.find("sc_job_exec_seconds_bucket"), std::string::npos);
 }
 
-TEST(ServiceTraceTest, TracePathWritesLoadableFileAtShutdown) {
+TEST(ServiceTraceTest, CallerRecorderExportsLoadableFileAfterShutdown) {
   storage::ThrottledDisk disk(FreshDir("tracepath"), FastDisk());
   auto wl = std::make_shared<workload::MvWorkload>(workload::BuildIo1());
   {
@@ -412,11 +429,12 @@ TEST(ServiceTraceTest, TracePathWritesLoadableFileAtShutdown) {
   const std::string trace_path =
       testing::TempDir() + "/sc_obs_service_trace.json";
   std::filesystem::remove(trace_path);
+  TraceRecorder recorder;
   {
     ServiceOptions options;
     options.num_workers = 2;
     options.global_budget = 16LL * 1024 * 1024;
-    options.trace_path = trace_path;
+    options.trace = &recorder;
     RefreshService service(&disk, options);
     RefreshJobSpec spec;
     spec.workload = wl;
@@ -424,6 +442,8 @@ TEST(ServiceTraceTest, TracePathWritesLoadableFileAtShutdown) {
     ASSERT_TRUE(service.Submit(spec).get().report.ok);
     service.Shutdown();
   }
+  // Every span is recorded once the workers have joined.
+  ASSERT_TRUE(WriteChromeTraceFile(recorder, trace_path));
   std::vector<TraceEvent> events;
   std::string error;
   ASSERT_TRUE(LoadChromeTraceFile(trace_path, &events, &error)) << error;

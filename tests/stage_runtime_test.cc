@@ -415,12 +415,12 @@ TEST(StageRuntimeTest, RelaxedPublishMatchesOneLaneStats) {
   }
 }
 
-// Inline small-node dispatch: nodes whose estimated cost falls below
-// ControllerOptions::inline_node_cost_seconds execute on the coordinator
-// thread instead of a LanePool lane. Equivalence with the 1-lane run
-// must hold with the threshold active — identical node stats, catalog
-// hit/miss counts, peak memory, and MV bytes at 2 and 4 lanes — and
-// RunReport must expose how many nodes were inlined.
+// Inline small-node dispatch: nodes estimated at no more than the
+// inline threshold (1 ms) execute on the coordinator thread instead of a
+// LanePool lane. Equivalence with the 1-lane run must hold when every
+// node inlines — identical node stats, catalog hit/miss counts, peak
+// memory, and MV bytes at 2 and 4 lanes — and RunReport must expose how
+// many nodes were inlined.
 TEST(StageRuntimeTest, InlineDispatchKeepsOneLaneEquivalence) {
   const auto data = TinyData();
   workload::MvWorkload wl = workload::BuildIo1();
@@ -434,13 +434,18 @@ TEST(StageRuntimeTest, InlineDispatchKeepsOneLaneEquivalence) {
   const std::int64_t budget = 8LL * 1024 * 1024;
   const auto plan = opt::Optimizer{}.Optimize(wl.graph, budget).plan;
   ASSERT_FALSE(opt::FlaggedNodes(plan.flags).empty());
+  // Profile every node far below the threshold. On an unthrottled disk
+  // the estimate is the profiled compute alone, so every node inlines at
+  // any lane count however fast the host runs.
+  for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
+    wl.graph.mutable_node(v).compute_seconds = 1e-6;
+  }
 
-  // Reference: one lane with inlining disabled — the coordinator still
-  // runs every node, since it is the run's only lane.
+  // Reference: one lane — the coordinator runs every node, since it is
+  // the run's only lane.
   storage::ThrottledDisk disk_one(FreshDir("inline_one"), FastDisk());
   ControllerOptions one_options;
   one_options.budget = budget;
-  one_options.inline_node_cost_seconds = 0.0;
   Controller one_lane(&disk_one, one_options);
   one_lane.LoadBaseTables(data);
   const RunReport one = one_lane.Run(wl, plan);
@@ -448,15 +453,12 @@ TEST(StageRuntimeTest, InlineDispatchKeepsOneLaneEquivalence) {
   EXPECT_EQ(one.inlined_nodes,
             static_cast<std::int64_t>(wl.graph.num_nodes()));
 
-  // A threshold large enough that every profiled node qualifies; the
-  // whole run executes inline on the coordinator at any lane count.
   for (const int lanes : {2, 4}) {
     storage::ThrottledDisk disk_par(
         FreshDir("inline_par" + std::to_string(lanes)), FastDisk());
     ControllerOptions par_options;
     par_options.budget = budget;
     par_options.max_parallel_nodes = lanes;
-    par_options.inline_node_cost_seconds = 3600.0;
     Controller parallel(&disk_par, par_options);
     parallel.LoadBaseTables(data);
     const RunReport par = parallel.Run(wl, plan);
@@ -471,71 +473,61 @@ TEST(StageRuntimeTest, InlineDispatchKeepsOneLaneEquivalence) {
 }
 
 // Morsel-driven intra-operator parallelism must be invisible in every
-// observable output: with interior fan-out forced on (tiny per-morsel
-// cost target, no row floor), publish order, per-node stats, and the
-// MV bytes written to disk are identical to a run with morsels disabled
-// — at 1 lane (the owned 1-lane pool caps fan-out at one morsel) and at
-// 4 lanes (joins and aggregates actually split). RunReport::morsel_tasks
-// must expose the fan-out at 4 lanes.
+// observable output: a 4-lane run whose joins and aggregates split into
+// morsels publishes in the same order, with the same per-node stats and
+// MV bytes, as the 1-lane run (whose 1-lane pool caps every morsel
+// budget at one). The workload is unprofiled, so every node gets the
+// full morsel budget and the 8192-row floor decides the split: at scale
+// 0.85 each channel's fact input has 17,000 rows, enough for two
+// morsels. RunReport::morsel_tasks must expose the fan-out wherever the
+// host has the cores to fan out onto.
 TEST(StageRuntimeTest, MorselExecutionKeepsPublishOrderAndMvBytes) {
-  const auto data = TinyData();
-  workload::MvWorkload wl = workload::BuildIo1();
+  workload::DataGenOptions data_options;
+  data_options.scale = 0.85;
+  const auto data = workload::GenerateTpcdsData(data_options);
+  ASSERT_GT(workload::RowCountsFor(data_options).sales_per_channel,
+            2 * 8192);
+  const workload::MvWorkload wl = workload::BuildIo1();
 
-  // Reference: No-opt at one lane with morsels disabled (target 0).
-  storage::ThrottledDisk disk_ref(FreshDir("morsel_ref"), FastDisk());
-  ControllerOptions ref_options;
-  ref_options.morsel_target_seconds = 0.0;
-  Controller reference(&disk_ref, ref_options);
-  reference.LoadBaseTables(data);
-  const RunReport ref = reference.RunUnoptimized(wl);
-  ASSERT_TRUE(ref.ok) << ref.error;
-  EXPECT_EQ(ref.morsel_tasks, 0);
+  storage::ThrottledDisk disk_one(FreshDir("morsel_one"), FastDisk());
+  Controller one_lane(&disk_one, ControllerOptions{});
+  one_lane.LoadBaseTables(data);
+  const RunReport one = one_lane.RunUnoptimized(wl);
+  ASSERT_TRUE(one.ok) << one.error;
+  EXPECT_EQ(one.morsel_tasks, 0);
 
-  for (const int lanes : {1, 4}) {
-    storage::ThrottledDisk disk_par(
-        FreshDir("morsel_par" + std::to_string(lanes)), FastDisk());
-    ControllerOptions par_options;
-    par_options.max_parallel_nodes = lanes;
-    // Every node overshoots a 1ns target, so each one gets the full
-    // lane-capacity morsel budget; the row floor of 1 makes even the
-    // tiny-scale tables split.
-    par_options.morsel_target_seconds = 1e-9;
-    par_options.morsel_min_rows = 1;
-    // Pin the fan-out cap so the morsel_tasks assertions below hold on
-    // single-core runners too (0 would cap at hardware concurrency).
-    par_options.morsel_max_lanes = 8;
-    Controller parallel(&disk_par, par_options);
-    parallel.LoadBaseTables(data);
-    const RunReport par = parallel.RunUnoptimized(wl);
-    ASSERT_TRUE(par.ok) << par.error;
+  storage::ThrottledDisk disk_par(FreshDir("morsel_par4"), FastDisk());
+  ControllerOptions par_options;
+  par_options.max_parallel_nodes = 4;
+  Controller parallel(&disk_par, par_options);
+  parallel.LoadBaseTables(data);
+  const RunReport par = parallel.RunUnoptimized(wl);
+  ASSERT_TRUE(par.ok) << par.error;
 
-    ASSERT_EQ(ref.nodes.size(), par.nodes.size());
-    for (std::size_t i = 0; i < ref.nodes.size(); ++i) {
-      EXPECT_EQ(ref.nodes[i].name, par.nodes[i].name);  // publish order
-      EXPECT_EQ(ref.nodes[i].output_bytes, par.nodes[i].output_bytes);
-      EXPECT_EQ(ref.nodes[i].output_rows, par.nodes[i].output_rows);
-    }
-    EXPECT_EQ(ref.peak_memory, par.peak_memory) << lanes;
-    ExpectMvsMatch(wl, disk_ref, disk_par);
-    if (lanes > 1) {
-      EXPECT_GT(par.morsel_tasks, 0) << lanes;
-    } else {
-      // A 1-lane pool caps every morsel budget at 1: no fan-out.
-      EXPECT_EQ(par.morsel_tasks, 0);
-    }
+  ASSERT_EQ(one.nodes.size(), par.nodes.size());
+  for (std::size_t i = 0; i < one.nodes.size(); ++i) {
+    EXPECT_EQ(one.nodes[i].name, par.nodes[i].name);  // publish order
+    EXPECT_EQ(one.nodes[i].output_bytes, par.nodes[i].output_bytes);
+    EXPECT_EQ(one.nodes[i].output_rows, par.nodes[i].output_rows);
+  }
+  EXPECT_EQ(one.peak_memory, par.peak_memory);
+  ExpectMvsMatch(wl, disk_one, disk_par);
+  // Fan-out is capped at hardware concurrency: a 1-core host never
+  // splits.
+  if (std::thread::hardware_concurrency() >= 2) {
+    EXPECT_GT(par.morsel_tasks, 0);
   }
 }
 
 // Unprofiled nodes have unknown cost and must never be inlined — the
 // wide synthetic DAG carries no execution metadata, so its parallel
-// speedup path (lanes) stays intact regardless of the threshold.
+// speedup path (lanes) stays intact.
 TEST(StageRuntimeTest, UnknownCostNodesAreNeverInlined) {
   const auto data = TinyData();
   const workload::MvWorkload wl = WideWorkload(6);
   storage::ThrottledDisk disk(FreshDir("inline_unknown"), FastDisk());
   ControllerOptions options;
   options.max_parallel_nodes = 4;
-  options.inline_node_cost_seconds = 3600.0;
   Controller controller(&disk, options);
   controller.LoadBaseTables(data);
   const RunReport report = controller.RunUnoptimized(wl);
