@@ -695,4 +695,10 @@ EvalRef EvalExprBorrow(const Expr& expr, const Table& input) {
   return EvalRef(std::move(*out.owned));
 }
 
+void CollectColumns(const Expr& expr, ColumnSet* out) {
+  if (expr.kind == Expr::Kind::kColumn) out->insert(expr.column_name);
+  if (expr.left != nullptr) CollectColumns(*expr.left, out);
+  if (expr.right != nullptr) CollectColumns(*expr.right, out);
+}
+
 }  // namespace sc::engine

@@ -99,6 +99,9 @@ EvalRef EvalExprBorrow(const Expr& expr, const Table& input);
 /// Result type of `expr` over `schema` (static type checking).
 DataType ResultType(const Expr& expr, const Schema& schema);
 
+/// Adds the names of the columns `expr` references to `out`.
+void CollectColumns(const Expr& expr, ColumnSet* out);
+
 }  // namespace sc::engine
 
 #endif  // SC_ENGINE_EXPR_H_

@@ -116,4 +116,27 @@ bool Table::operator==(const Table& other) const {
   return schema_ == other.schema_ && columns_ == other.columns_;
 }
 
+bool KeepsColumn(const ColumnSet* columns, const std::string& name,
+                 std::size_t index) {
+  return columns == nullptr || (columns->empty() && index == 0) ||
+         columns->count(name) > 0;
+}
+
+TablePtr SelectColumns(TablePtr table, const ColumnSet* columns) {
+  const Schema& schema = table->schema();
+  std::vector<std::size_t> kept;
+  for (std::size_t i = 0; i < schema.num_fields(); ++i) {
+    if (KeepsColumn(columns, schema.field(i).name, i)) kept.push_back(i);
+  }
+  if (kept.size() == schema.num_fields()) return table;
+  std::vector<Field> fields;
+  std::vector<Column> selected;
+  for (const std::size_t i : kept) {
+    fields.push_back(schema.field(i));
+    selected.push_back(table->column(i));
+  }
+  return std::make_shared<const Table>(Schema(std::move(fields)),
+                                       std::move(selected));
+}
+
 }  // namespace sc::engine

@@ -2,6 +2,7 @@
 #define SC_ENGINE_TABLE_H_
 
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -93,6 +94,21 @@ class Table {
 };
 
 using TablePtr = std::shared_ptr<const Table>;
+
+/// Names of the columns a reader has to return (scan column pruning).
+/// Readers take it as `const ColumnSet*`, where null means every column.
+/// An empty set keeps the table's first column, so the result still
+/// carries the row count (a COUNT(*) needs rows, not values).
+using ColumnSet = std::set<std::string>;
+
+/// True when `columns` keeps the column named `name` at position
+/// `index` of its table (see ColumnSet).
+bool KeepsColumn(const ColumnSet* columns, const std::string& name,
+                 std::size_t index);
+
+/// The columns of `table` that `columns` keeps, in table order. Returns
+/// `table` itself, with no copy, when it keeps them all.
+TablePtr SelectColumns(TablePtr table, const ColumnSet* columns);
 
 }  // namespace sc::engine
 

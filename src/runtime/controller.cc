@@ -337,17 +337,22 @@ struct NodeResult {
 /// Compressed residency of a node output before it enters residency
 /// accounting: plain string columns are dictionary-encoded, keeping an
 /// encoding only when it is actually smaller (an all-unique column stays
-/// plain). Consumers see the same logical values (operators and
+/// plain). A dictionary-encoded column whose dictionary has more entries
+/// than the column has rows (a few groups keyed on a large inherited
+/// dictionary) is decoded when that is smaller, then takes the same
+/// choice between plain and a dictionary of just its own values.
+/// Consumers see the same logical values (operators and
 /// Table::operator== are representation-agnostic), while ByteSize, hence
 /// budgets, grants and profiled output sizes, shrinks.
 engine::TablePtr CompressForResidency(engine::TablePtr table) {
-  auto plain_string = [](const engine::Column& col) {
+  auto compressible = [](const engine::Column& col) {
     return col.type() == engine::DataType::kString &&
-           !col.dictionary_encoded();
+           (!col.dictionary_encoded() ||
+            col.dictionary()->size() > col.size());
   };
   bool candidate = false;
   for (std::size_t i = 0; i < table->num_columns(); ++i) {
-    if (plain_string(table->column(i))) {
+    if (compressible(table->column(i))) {
       candidate = true;
       break;
     }
@@ -357,7 +362,13 @@ engine::TablePtr CompressForResidency(engine::TablePtr table) {
   bool changed = false;
   for (std::size_t i = 0; i < converted->num_columns(); ++i) {
     engine::Column& col = converted->mutable_column(i);
-    if (!plain_string(col)) continue;
+    if (!compressible(col)) continue;
+    if (col.dictionary_encoded()) {
+      engine::Column plain = col.DecodeDictionary();
+      if (plain.ByteSize() >= col.ByteSize()) continue;
+      col = std::move(plain);
+      changed = true;
+    }
     engine::Column encoded = col.DictionaryEncode();
     if (encoded.ByteSize() < col.ByteSize()) {
       col = std::move(encoded);
@@ -464,15 +475,22 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
         s.options.faults->MaybeThrow(fault::Site::kNodeExecute, stats.name);
       }
       double read_seconds = 0.0;
-      engine::FnResolver resolver([&](const std::string& name) {
-        engine::TablePtr cached = s.catalog.Get(name);
-        if (cached != nullptr) return cached;
-        const double start = MonotonicSeconds();
-        auto table =
-            std::make_shared<engine::Table>(s.disk->ReadTable(name));
-        read_seconds += MonotonicSeconds() - start;
-        return engine::TablePtr(table);
-      });
+      // Scans ask for just the columns their plan uses: a resident input
+      // is handed out as is when every column is needed and cut to the
+      // needed ones otherwise, and a miss reads only those from disk. A
+      // UnionAll therefore sees one schema whichever side was resident.
+      engine::FnResolver resolver(
+          [&](const std::string& name, const engine::ColumnSet* columns) {
+            engine::TablePtr cached = s.catalog.Get(name);
+            if (cached != nullptr) {
+              return engine::SelectColumns(std::move(cached), columns);
+            }
+            const double start = MonotonicSeconds();
+            auto table = std::make_shared<const engine::Table>(
+                s.disk->ReadTable(name, columns));
+            read_seconds += MonotonicSeconds() - start;
+            return engine::TablePtr(std::move(table));
+          });
 
       const double exec_start = MonotonicSeconds();
       if (morsel_budget > 1) {
@@ -482,11 +500,9 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
         engine::MorselContext morsel_context(&runner, morsel_budget,
                                              kMorselMinRows);
         engine::MorselScope scope(&morsel_context);
-        result.output = std::make_shared<engine::Table>(
-            engine::ExecutePlan(*s.wl.plans[v], resolver));
+        result.output = engine::ExecutePlan(*s.wl.plans[v], resolver);
       } else {
-        result.output = std::make_shared<engine::Table>(
-            engine::ExecutePlan(*s.wl.plans[v], resolver));
+        result.output = engine::ExecutePlan(*s.wl.plans[v], resolver);
       }
       result.output = CompressForResidency(std::move(result.output));
       const double exec_seconds = MonotonicSeconds() - exec_start;
@@ -1000,10 +1016,12 @@ RunReport Controller::ProfileAndAnnotate(workload::MvWorkload* wl) {
     info.size_bytes = stats.output_bytes;
     info.compute_seconds = stats.compute_seconds;
     // Approximate base input volume by inverting the simulator's read
-    // model over the observed read time: in the unoptimized run every
-    // parent MV is a disk read of its file (one access latency plus its
-    // on-disk bytes), and the base tables cost one more access latency
-    // plus base_input_bytes.
+    // model over the observed read time: the model charges every parent
+    // MV one access latency plus its whole file, and the base tables one
+    // more access latency plus base_input_bytes. The unoptimized run
+    // read only the parent columns each plan uses, so a parent really
+    // cost at most that and base_input_bytes comes out low by the
+    // pruned bytes (clamped at zero).
     const double bw = disk_->profile().read_bw;
     const double latency = disk_->profile().latency;
     double base_seconds = stats.read_seconds - latency;

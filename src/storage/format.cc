@@ -91,10 +91,35 @@ class CrcSource {
   CrcSource(std::istream& in, bool verify) : in_(in), verify_(verify) {}
 
   void Read(void* data, std::size_t size, const char* what) {
+    ReadUnfolded(data, size, what);
+    if (verify_) crc_ = common::Crc32c(data, size, crc_);
+  }
+
+  /// Reads bytes the file checksum does not cover (the magic is folded
+  /// separately, the footer holds the checksum).
+  void ReadUnfolded(void* data, std::size_t size, const char* what) {
     in_.read(static_cast<char*>(data),
              static_cast<std::streamsize>(size));
     if (!in_) Fail(what);
-    if (verify_) crc_ = common::Crc32c(data, size, crc_);
+    consumed_ += static_cast<std::int64_t>(size);
+  }
+
+  /// Seeks past `size` payload bytes of a column the caller does not
+  /// need, reading none of them. A length that runs past the end of the
+  /// stream fails as truncation before the seek, so a hostile length
+  /// costs neither a read nor an allocation.
+  void Skip(std::uint64_t size, const char* what) {
+    const std::streamoff here = in_.tellg();
+    if (end_ < 0) {
+      in_.seekg(0, std::ios::end);
+      end_ = in_.tellg();
+    }
+    if (here < 0 || end_ < here ||
+        size > static_cast<std::uint64_t>(end_ - here)) {
+      Fail(what);
+    }
+    in_.seekg(here + static_cast<std::streamoff>(size));
+    if (!in_) Fail(what);
   }
 
   template <typename T>
@@ -129,8 +154,7 @@ class CrcSource {
       buf.resize(old + static_cast<std::size_t>(step));
       for (std::size_t pos = old; pos < buf.size(); pos += kReadSlice) {
         const std::size_t n = std::min(kReadSlice, buf.size() - pos);
-        in_.read(buf.data() + pos, static_cast<std::streamsize>(n));
-        if (!in_) Fail(what);
+        ReadUnfolded(buf.data() + pos, n, what);
         if (payload_crc != nullptr) {
           *payload_crc = common::Crc32c(buf.data() + pos, n, *payload_crc);
         }
@@ -151,12 +175,15 @@ class CrcSource {
 
   bool verify() const { return verify_; }
   std::uint32_t crc() const { return crc_; }
-  std::istream& stream() { return in_; }
+  /// Bytes read so far; skipped payloads are not counted.
+  std::int64_t consumed() const { return consumed_; }
 
  private:
   std::istream& in_;
   const bool verify_;
   std::uint32_t crc_ = 0;
+  std::int64_t consumed_ = 0;
+  std::streamoff end_ = -1;  // stream length, found by the first Skip
 };
 
 void WriteFooter(CrcSink& sink, std::uint64_t num_rows,
@@ -177,16 +204,14 @@ void WriteFooter(CrcSink& sink, std::uint64_t num_rows,
 void ReadFooter(CrcSource& source, std::uint64_t num_rows,
                 std::uint32_t num_cols) {
   const std::uint32_t computed = source.crc();
-  std::istream& in = source.stream();
   std::uint64_t footer_rows = 0;
   std::uint32_t footer_cols = 0;
   std::uint32_t file_crc = 0;
   char tail[4] = {0, 0, 0, 0};
-  in.read(reinterpret_cast<char*>(&footer_rows), sizeof(footer_rows));
-  in.read(reinterpret_cast<char*>(&footer_cols), sizeof(footer_cols));
-  in.read(reinterpret_cast<char*>(&file_crc), sizeof(file_crc));
-  in.read(tail, sizeof(tail));
-  if (!in) source.Fail("footer");
+  source.ReadUnfolded(&footer_rows, sizeof(footer_rows), "footer");
+  source.ReadUnfolded(&footer_cols, sizeof(footer_cols), "footer");
+  source.ReadUnfolded(&file_crc, sizeof(file_crc), "footer");
+  source.ReadUnfolded(tail, sizeof(tail), "footer");
   if (std::memcmp(tail, kFooterMagic, sizeof(kFooterMagic)) != 0) {
     throw CorruptFileError("SCC1: bad footer marker");
   }
@@ -218,6 +243,15 @@ std::string ReadColumnPayload(CrcSource& source) {
     throw CorruptFileError("SCC1: column checksum mismatch");
   }
   return buf;
+}
+
+/// Passes over the payload of a column the reader does not return: the
+/// length and the checksum word are read (and sealed by the file
+/// checksum), the payload is seeked past.
+void SkipColumnPayload(CrcSource& source) {
+  const auto payload_len = source.ReadRaw<std::uint64_t>("payload length");
+  source.Skip(payload_len, "column payload");
+  source.ReadRaw<std::uint32_t>("column checksum");
 }
 
 // LEB128 varints, buffered into `buf` (one buffer per column payload —
@@ -285,6 +319,19 @@ struct ColumnHeader {
   std::string name;
   engine::DataType type = engine::DataType::kInt64;
 };
+
+/// The one encoding each column type is written with.
+std::uint8_t EncodingOf(engine::DataType type) {
+  switch (type) {
+    case engine::DataType::kInt64:
+      return kEncForVarint;
+    case engine::DataType::kFloat64:
+      return kEncRaw;
+    case engine::DataType::kString:
+      return kEncDict;
+  }
+  throw std::logic_error("SCC1: bad column type");
+}
 
 ColumnHeader ReadColumnHeader(CrcSource& source) {
   ColumnHeader header;
@@ -404,12 +451,13 @@ std::int64_t WriteTableCompressed(const engine::Table& table,
 }
 
 engine::Table ReadTableCompressed(std::istream& in,
-                                  const ReadOptions& options) {
+                                  const ReadOptions& options,
+                                  const engine::ColumnSet* selected,
+                                  std::int64_t* bytes_read) {
   CrcSource source(in, options.verify_checksums);
   char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  source.ReadUnfolded(magic, sizeof(magic), "magic");
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     throw CorruptFileError("SCC1: bad magic");
   }
   source.FoldCrc(magic, sizeof(magic));
@@ -425,13 +473,21 @@ engine::Table ReadTableCompressed(std::istream& in,
   for (std::uint32_t c = 0; c < num_cols; ++c) {
     ColumnHeader header = ReadColumnHeader(source);
     const auto encoding = source.ReadRaw<std::uint8_t>("column encoding");
+    if (encoding != EncodingOf(header.type)) {
+      throw CorruptFileError("SCC1: bad " + engine::ToString(header.type) +
+                             " encoding");
+    }
+    std::int64_t min = 0;
+    if (header.type == engine::DataType::kInt64) {
+      min = source.ReadRaw<std::int64_t>("frame minimum");
+    }
+    if (!engine::KeepsColumn(selected, header.name, c)) {
+      SkipColumnPayload(source);
+      continue;
+    }
+    const std::string buf = ReadColumnPayload(source);
     switch (header.type) {
       case engine::DataType::kInt64: {
-        if (encoding != kEncForVarint) {
-          throw CorruptFileError("SCC1: bad int64 encoding");
-        }
-        const auto min = source.ReadRaw<std::int64_t>("frame minimum");
-        const std::string buf = ReadColumnPayload(source);
         // Every varint is at least one byte: a row count beyond the
         // payload size is structurally impossible, and checking before
         // the allocation keeps hostile counts from reserving anything.
@@ -453,10 +509,6 @@ engine::Table ReadTableCompressed(std::istream& in,
         break;
       }
       case engine::DataType::kFloat64: {
-        if (encoding != kEncRaw) {
-          throw CorruptFileError("SCC1: bad float64 encoding");
-        }
-        const std::string buf = ReadColumnPayload(source);
         if (buf.size() % sizeof(double) != 0 ||
             num_rows != buf.size() / sizeof(double)) {
           throw CorruptFileError("SCC1: bad float64 payload size");
@@ -471,10 +523,6 @@ engine::Table ReadTableCompressed(std::istream& in,
         break;
       }
       case engine::DataType::kString: {
-        if (encoding != kEncDict) {
-          throw CorruptFileError("SCC1: bad string encoding");
-        }
-        const std::string buf = ReadColumnPayload(source);
         std::size_t pos = 0;
         const std::uint64_t dict_size =
             GetVarint(buf.data(), buf.size(), &pos);
@@ -548,6 +596,7 @@ engine::Table ReadTableCompressed(std::istream& in,
     fields.push_back(engine::Field{std::move(header.name), header.type});
   }
   ReadFooter(source, num_rows, num_cols);
+  if (bytes_read != nullptr) *bytes_read = source.consumed();
   return engine::Table(engine::Schema(std::move(fields)),
                        std::move(columns));
 }
@@ -560,10 +609,12 @@ std::int64_t WriteTableFileCompressed(const engine::Table& table,
 }
 
 engine::Table ReadTableFileCompressed(const std::string& path,
-                                      const ReadOptions& options) {
+                                      const ReadOptions& options,
+                                      const engine::ColumnSet* selected,
+                                      std::int64_t* bytes_read) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open for read: " + path);
-  return ReadTableCompressed(in, options);
+  return ReadTableCompressed(in, options, selected, bytes_read);
 }
 
 }  // namespace sc::storage

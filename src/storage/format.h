@@ -22,13 +22,14 @@ class CorruptFileError : public std::runtime_error {
 };
 
 /// Read-side integrity knob. With verify_checksums (the default) every
-/// column payload is checked against its stored CRC32C and the footer's
-/// whole-file checksum is recomputed — a single flipped bit anywhere in
-/// the stream raises CorruptFileError. Without it, readers still parse
-/// defensively (bounded allocations, structural bounds checks, footer
-/// row/column cross-check and end marker — truncation and torn tails are
-/// still caught) but skip the checksum arithmetic; the bench gate keeps
-/// the verified mode within 5% of this fast path.
+/// column payload read is checked against its stored CRC32C and the
+/// footer's whole-file checksum is recomputed — a single flipped bit
+/// anywhere in a fully read stream raises CorruptFileError. Without it,
+/// readers still parse defensively (bounded allocations, structural
+/// bounds checks, footer row/column cross-check and end marker —
+/// truncation and torn tails are still caught) but skip the checksum
+/// arithmetic; the bench gate keeps the verified mode within 5% of this
+/// fast path.
 struct ReadOptions {
   bool verify_checksums = true;
 };
@@ -68,6 +69,14 @@ struct ReadOptions {
 /// the file checksum seals in turn, so a flip anywhere still fails
 /// verification. All integers little-endian (host order; the format is
 /// not meant for cross-architecture exchange).
+///
+/// Projected reads: given a column set, the reader returns only those
+/// columns. For every other column it still reads the header, frame
+/// minimum, payload length and checksum word, and seeks past the
+/// payload. A verified projected read therefore checks every byte it
+/// consumes plus all metadata (the file checksum still covers the
+/// skipped columns' headers and checksum words); only the skipped
+/// payload bytes go unchecked, and the next full read checks them.
 
 /// Serializes `table` compressed to `out`. Returns bytes written.
 std::int64_t WriteTableCompressed(const engine::Table& table,
@@ -79,9 +88,17 @@ std::int64_t WriteTableCompressed(const engine::Table& table,
 /// truncated, or (when verifying) corrupted stream. Hostile length
 /// fields never cause over-allocation: payloads are read in bounded
 /// chunks, so memory use is capped by the bytes actually present plus
-/// one chunk.
+/// one chunk, and a skipped payload that runs past the end of the stream
+/// fails as truncation without a read.
+///
+/// `selected` names the columns to return, in file order (null: all;
+/// see engine::ColumnSet); the rest are seeked past, so the stream must
+/// be seekable when it is set. A non-null `bytes_read` receives the
+/// bytes actually read, skipped payloads excluded.
 engine::Table ReadTableCompressed(std::istream& in,
-                                  const ReadOptions& options = {});
+                                  const ReadOptions& options = {},
+                                  const engine::ColumnSet* selected = nullptr,
+                                  std::int64_t* bytes_read = nullptr);
 
 /// File wrappers. Writes are atomic (write-then-rename: the path holds
 /// either the old complete table or the new one). Both throw
@@ -89,8 +106,10 @@ engine::Table ReadTableCompressed(std::istream& in,
 /// damaged content.
 std::int64_t WriteTableFileCompressed(const engine::Table& table,
                                       const std::string& path);
-engine::Table ReadTableFileCompressed(const std::string& path,
-                                      const ReadOptions& options = {});
+engine::Table ReadTableFileCompressed(
+    const std::string& path, const ReadOptions& options = {},
+    const engine::ColumnSet* selected = nullptr,
+    std::int64_t* bytes_read = nullptr);
 
 }  // namespace sc::storage
 

@@ -136,7 +136,8 @@ std::int64_t ThrottledDisk::WriteTable(const std::string& name,
   return bytes;
 }
 
-engine::Table ThrottledDisk::ReadTable(const std::string& name) {
+engine::Table ThrottledDisk::ReadTable(const std::string& name,
+                                       const engine::ColumnSet* columns) {
   const std::shared_ptr<std::shared_mutex> file_lock = FileLock(name);
   std::shared_lock<std::shared_mutex> file_guard(*file_lock);
   fault::FaultInjector* injector = nullptr;
@@ -148,22 +149,22 @@ engine::Table ThrottledDisk::ReadTable(const std::string& name) {
     injector->MaybeThrow(fault::Site::kDiskRead, name);
   }
   std::optional<engine::Table> table;
+  std::int64_t bytes = 0;
   double elapsed = 0.0;
   {
     const ChannelSlot slot(*this);
     const double start = Now();
-    const std::string path = PathFor(name);
-    table.emplace(
-        ReadTableFileCompressed(path, ReadOptions{profile_.verify_reads}));
-    // Charged for the bytes on disk, like the write: the shared file
-    // lock keeps the file unchanged since the read.
-    PadToTarget(start, static_cast<std::int64_t>(fs::file_size(path)),
-                profile_.read_bw);
+    table.emplace(ReadTableFileCompressed(
+        PathFor(name), ReadOptions{profile_.verify_reads}, columns, &bytes));
+    // Charged for the bytes the reader consumed: a projected read seeks
+    // past the payloads it does not need and pays only for the rest.
+    PadToTarget(start, bytes, profile_.read_bw);
     elapsed = Now() - start;
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     total_read_seconds_ += elapsed;
+    total_read_bytes_ += bytes;
   }
   return std::move(*table);
 }
@@ -199,6 +200,11 @@ double ThrottledDisk::total_read_seconds() const {
 double ThrottledDisk::total_write_seconds() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return total_write_seconds_;
+}
+
+std::int64_t ThrottledDisk::total_read_bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return total_read_bytes_;
 }
 
 }  // namespace sc::storage

@@ -39,8 +39,8 @@ struct DiskProfile {
 
 /// External storage emulation: persists tables as SCC1 files (see
 /// storage/format.h) under a root directory and pads each operation's
-/// wall time to what the configured device would need for the file's
-/// bytes (sleeping the remainder after the real I/O). This
+/// wall time to what the configured device would need for the bytes it
+/// moves (sleeping the remainder after the real I/O). This
 /// stands in for the paper's NFS + Hive warehouse directory so that
 /// read/write short-circuiting produces measurable wall-clock savings at
 /// laptop scale.
@@ -63,11 +63,14 @@ class ThrottledDisk {
   std::int64_t WriteTable(const std::string& name,
                           const engine::Table& table);
 
-  /// Loads `<root>/<name>.sct`, charged for the file's bytes. String
-  /// columns come back dictionary-encoded. With DiskProfile::verify_reads
-  /// the read is checksum-verified and throws storage::CorruptFileError
-  /// on any damage.
-  engine::Table ReadTable(const std::string& name);
+  /// Loads `<root>/<name>.sct`, or only the columns in `columns` (null:
+  /// all; see engine::ColumnSet), and is charged for exactly the bytes
+  /// the SCC1 reader consumed: the file minus the payloads it seeked
+  /// past. String columns come back dictionary-encoded. With
+  /// DiskProfile::verify_reads the read is checksum-verified and throws
+  /// storage::CorruptFileError on any damage to what it consumed.
+  engine::Table ReadTable(const std::string& name,
+                          const engine::ColumnSet* columns = nullptr);
 
   bool Exists(const std::string& name) const;
   /// Deletes the file if present.
@@ -82,6 +85,9 @@ class ThrottledDisk {
   /// Cumulative seconds spent inside read/write calls (throttled time).
   double total_read_seconds() const;
   double total_write_seconds() const;
+  /// Cumulative bytes reads were charged for (deterministic, unlike the
+  /// seconds).
+  std::int64_t total_read_bytes() const;
 
   /// Failure injection (tests): the next write of table `name` throws
   /// std::runtime_error instead of persisting (one-shot). Used to verify
@@ -114,6 +120,7 @@ class ThrottledDisk {
   std::map<std::string, std::shared_ptr<std::shared_mutex>> file_locks_;
   double total_read_seconds_ = 0.0;
   double total_write_seconds_ = 0.0;
+  std::int64_t total_read_bytes_ = 0;
   std::set<std::string> write_failures_;
   fault::FaultInjector* fault_injector_ = nullptr;  // not owned
 };

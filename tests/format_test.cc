@@ -191,6 +191,140 @@ TEST(FormatTest, UnverifiedModeRoundTripsAndChecksFooter) {
                CorruptFileError);
 }
 
+// ---- Projected reads ----
+
+// [begin, end) of each column's payload in an SCC1 stream, found by
+// walking the documented layout.
+std::vector<std::pair<std::size_t, std::size_t>> PayloadRanges(
+    const std::string& data) {
+  auto u32_at = [&](std::size_t pos) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, data.data() + pos, sizeof(v));
+    return v;
+  };
+  auto u64_at = [&](std::size_t pos) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, data.data() + pos, sizeof(v));
+    return static_cast<std::size_t>(v);
+  };
+  const std::uint32_t num_cols = u32_at(4);
+  std::size_t pos = 16;  // magic, column count, row count
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  for (std::uint32_t c = 0; c < num_cols; ++c) {
+    pos += 4 + u32_at(pos);  // name length and name
+    const bool int64 = data[pos] == static_cast<char>(DataType::kInt64);
+    pos += 2;                // type, encoding
+    if (int64) pos += 8;     // frame minimum
+    const std::size_t len = u64_at(pos);
+    pos += 8;
+    ranges.emplace_back(pos, pos + len);
+    pos += len + 4;          // payload, checksum word
+  }
+  return ranges;
+}
+
+Table DeserializeColumns(const std::string& data,
+                         const engine::ColumnSet& columns,
+                         std::int64_t* bytes_read = nullptr,
+                         const ReadOptions& options = {}) {
+  std::stringstream in(data);
+  return ReadTableCompressed(in, options, &columns, bytes_read);
+}
+
+TEST(FormatTest, ProjectedReadEqualsSelectedColumnsOfFullRead) {
+  const std::string data = Serialize(SampleTable());
+  const auto full = std::make_shared<const Table>(Deserialize(data));
+  const auto ranges = PayloadRanges(data);
+  ASSERT_EQ(ranges.size(), 3u);
+  EXPECT_EQ(ranges[1].second - ranges[1].first, 3 * sizeof(double));
+  const std::vector<std::string> names = {"i", "d", "s"};
+  for (unsigned mask = 0; mask < 8; ++mask) {
+    engine::ColumnSet columns;
+    for (unsigned c = 0; c < 3; ++c) {
+      if (mask & (1u << c)) columns.insert(names[c]);
+    }
+    // An empty set still keeps the first column, for the row count.
+    const unsigned kept = mask == 0 ? 1u : mask;
+    std::int64_t bytes_read = -1;
+    const Table projected = DeserializeColumns(data, columns, &bytes_read);
+    EXPECT_TRUE(projected == *engine::SelectColumns(full, &columns))
+        << "mask " << mask;
+    EXPECT_EQ(projected.num_rows(), full->num_rows()) << "mask " << mask;
+    // Charged for the file minus exactly the payloads seeked past.
+    std::size_t skipped = 0;
+    for (unsigned c = 0; c < 3; ++c) {
+      if (!(kept & (1u << c))) {
+        skipped += ranges[c].second - ranges[c].first;
+      }
+    }
+    EXPECT_EQ(bytes_read, static_cast<std::int64_t>(data.size() - skipped))
+        << "mask " << mask;
+  }
+  // A set naming every column is a full read.
+  std::int64_t bytes_read = -1;
+  EXPECT_TRUE(DeserializeColumns(data, {"i", "d", "s"}, &bytes_read) ==
+              *full);
+  EXPECT_EQ(bytes_read, static_cast<std::int64_t>(data.size()));
+}
+
+// A verified projected read checks every byte it consumes: a flip in a
+// payload it reads fails its column checksum, and a flip in any column
+// header, payload length or checksum word (skipped columns' included)
+// or in the counts or footer fails the file checksum. A flip inside a
+// skipped payload goes unseen by the projected read and is caught by
+// the next full read.
+TEST(FormatTest, ProjectedReadVerifiesEverythingItConsumes) {
+  const std::string clean = Serialize(SampleTable());
+  const auto ranges = PayloadRanges(clean);
+  const engine::ColumnSet columns = {"d"};
+  const Table expected = DeserializeColumns(clean, columns);
+  auto skipped = [&](std::size_t pos) {
+    for (std::size_t c : {0u, 2u}) {
+      if (pos >= ranges[c].first && pos < ranges[c].second) return true;
+    }
+    return false;
+  };
+  for (std::size_t pos = 0; pos < clean.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string damaged = clean;
+      damaged[pos] ^= static_cast<char>(1 << bit);
+      if (skipped(pos)) {
+        EXPECT_TRUE(DeserializeColumns(damaged, columns) == expected)
+            << "byte " << pos << " bit " << bit;
+        EXPECT_THROW(Deserialize(damaged), CorruptFileError)
+            << "byte " << pos << " bit " << bit;
+      } else {
+        EXPECT_THROW(DeserializeColumns(damaged, columns), CorruptFileError)
+            << "byte " << pos << " bit " << bit;
+      }
+    }
+  }
+}
+
+// A skipped column whose payload length runs past the end of the stream
+// fails as truncation before any seek or read, in both modes.
+TEST(FormatTest, HostileSkippedPayloadLengthFailsAsTruncation) {
+  const std::string clean = Serialize(SampleTable());
+  const auto ranges = PayloadRanges(clean);
+  const std::size_t len_at = ranges[0].first - 8;  // column "i"
+  for (const std::uint64_t hostile :
+       {std::uint64_t{1} << 59, ~std::uint64_t{0},
+        static_cast<std::uint64_t>(clean.size() - ranges[0].first + 1)}) {
+    std::string lying = clean;
+    std::memcpy(lying.data() + len_at, &hostile, sizeof(hostile));
+    for (const bool verify : {true, false}) {
+      try {
+        DeserializeColumns(lying, {"d"}, nullptr, ReadOptions{verify});
+        ADD_FAILURE() << "hostile length " << hostile << " was accepted";
+      } catch (const CorruptFileError& e) {
+        EXPECT_NE(std::string(e.what()).find("truncated column payload"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 TEST(FormatTest, CorruptFileErrorIsRuntimeError) {
   // Pre-durability catch sites use std::runtime_error; the typed error
   // must keep satisfying them.

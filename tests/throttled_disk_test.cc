@@ -112,6 +112,28 @@ TEST(ThrottledDiskTest, ThrottledReadChargedForFileBytes) {
             slow.latency + static_cast<double>(file_bytes) / slow.read_bw);
 }
 
+TEST(ThrottledDiskTest, ProjectedReadChargedForBytesConsumed) {
+  ThrottledDisk disk(testing::TempDir() + "/sc_disk_projected",
+                     FastProfile());
+  const Table ints = SmallTable();
+  std::vector<Column> cols;
+  cols.push_back(ints.column(0));
+  cols.push_back(Column::FromDoubles(std::vector<double>(1000, 0.5)));
+  const Table t(Schema({Field{"x", DataType::kInt64},
+                        Field{"y", DataType::kFloat64}}),
+                std::move(cols));
+  const std::int64_t file_bytes = disk.WriteTable("t", t);
+  EXPECT_EQ(disk.total_read_bytes(), 0);
+
+  EXPECT_TRUE(disk.ReadTable("t") == t);
+  EXPECT_EQ(disk.total_read_bytes(), file_bytes);
+
+  // Reading only "x" seeks past y's raw payload of 8 bytes a row.
+  const engine::ColumnSet only_x = {"x"};
+  EXPECT_TRUE(disk.ReadTable("t", &only_x) == ints);
+  EXPECT_EQ(disk.total_read_bytes(), 2 * file_bytes - 8 * 1000);
+}
+
 TEST(ThrottledDiskTest, AccumulatesTimers) {
   ThrottledDisk disk(testing::TempDir() + "/sc_disk_timers", FastProfile());
   disk.WriteTable("a", SmallTable());

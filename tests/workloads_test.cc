@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <unordered_map>
+
 #include "engine/executor.h"
 
 #include "graph/topo.h"
@@ -9,6 +12,43 @@
 
 namespace sc::workload {
 namespace {
+
+/// Executes every node of `wl` in dependency order twice: pruned,
+/// through a MapResolver that hands each scan only the columns its plan
+/// needs, and against an oracle resolver that ignores the column set
+/// and always returns whole tables. Every output must equal the
+/// oracle's, schema included. Returns the number of scans that pruned.
+int ExpectPruningMatchesOracle(
+    const MvWorkload& wl,
+    const std::map<std::string, engine::TablePtr>& base) {
+  std::unordered_map<std::string, engine::TablePtr> whole(base.begin(),
+                                                          base.end());
+  engine::FnResolver oracle(
+      [&](const std::string& name, const engine::ColumnSet*) {
+        return whole.at(name);
+      });
+  engine::MapResolver map;
+  for (const auto& [name, table] : base) map.Put(name, table);
+  int pruned_scans = 0;
+  engine::FnResolver pruned(
+      [&](const std::string& name, const engine::ColumnSet* columns) {
+        engine::TablePtr table = map.Resolve(name, columns);
+        if (table->num_columns() < whole.at(name)->num_columns()) {
+          ++pruned_scans;
+        }
+        return table;
+      });
+  for (graph::NodeId v : graph::KahnTopologicalOrder(wl.graph).sequence) {
+    const std::string& name = wl.graph.node(v).name;
+    engine::TablePtr expected = engine::ExecutePlan(*wl.plans[v], oracle);
+    engine::TablePtr actual = engine::ExecutePlan(*wl.plans[v], pruned);
+    EXPECT_TRUE(actual->schema() == expected->schema()) << name;
+    EXPECT_TRUE(*actual == *expected) << name;
+    whole[name] = std::move(expected);
+    map.Put(name, std::move(actual));
+  }
+  return pruned_scans;
+}
 
 class StandardWorkloadsTest : public testing::TestWithParam<int> {
  protected:
@@ -65,13 +105,18 @@ TEST_P(StandardWorkloadsTest, ExecutesOnTinyDataset) {
   const graph::Order order = graph::KahnTopologicalOrder(wl.graph);
   std::uint64_t total_rows = 0;
   for (graph::NodeId v : order.sequence) {
-    const engine::Table out =
-        engine::ExecutePlan(*wl.plans[v], resolver);
-    total_rows += out.num_rows();
-    resolver.Put(wl.graph.node(v).name,
-                 std::make_shared<engine::Table>(out));
+    engine::TablePtr out = engine::ExecutePlan(*wl.plans[v], resolver);
+    total_rows += out->num_rows();
+    resolver.Put(wl.graph.node(v).name, std::move(out));
   }
   EXPECT_GT(total_rows, 0u);
+}
+
+TEST_P(StandardWorkloadsTest, PrunedExecutionMatchesWholeTableOracle) {
+  DataGenOptions options;
+  options.scale = 0.05;
+  EXPECT_GT(ExpectPruningMatchesOracle(Workload(), GenerateTpcdsData(options)),
+            0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFive, StandardWorkloadsTest,
@@ -81,6 +126,14 @@ INSTANTIATE_TEST_SUITE_P(AllFive, StandardWorkloadsTest,
                                [static_cast<std::size_t>(info.param)]
                                    .name;
                          });
+
+TEST(WorkloadsTest, PrunedStringHeavyExecutionMatchesWholeTableOracle) {
+  StringHeavyOptions options;
+  options.scale = 0.1;
+  EXPECT_GT(ExpectPruningMatchesOracle(BuildStringHeavySynthetic(8),
+                                       GenerateStringHeavyData(options)),
+            0);
+}
 
 TEST(WorkloadsTest, ValidateCatchesNonParentScan) {
   MvWorkload wl = BuildIo1();
